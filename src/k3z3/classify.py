@@ -88,14 +88,15 @@ def _enumerate(surface: SurfaceConstants) -> tuple[ActionType, ...]:
     for m_plus in range(bound + 1):
         for m_minus in range(bound + 1 - m_plus):
             d = FixedPointData(m_plus, m_minus)
-            euler, sign = quotient_invariants(d, surface)
-            if euler.denominator != 1 or sign.denominator != 1:
+            euler_q, sign_q = quotient_invariants(d, surface)
+            if euler_q.denominator != 1 or sign_q.denominator != 1:
                 continue
-            b2 = int(euler) - 2  # the orbit space is simply connected
-            if (b2 + int(sign)) % 2:
+            euler, sign = euler_q.numerator, sign_q.numerator
+            b2 = euler - 2  # the orbit space is simply connected
+            if (b2 + sign) % 2:
                 continue
-            bplus = (b2 + int(sign)) // 2
-            bminus = (b2 - int(sign)) // 2
+            bplus = (b2 + sign) // 2
+            bminus = (b2 - sign) // 2
             if not (0 <= bplus <= surface.b_plus and 0 <= bminus <= surface.b_minus):
                 continue
             # the non-fixed cohomology splits into rank-2 rotation planes
@@ -105,7 +106,7 @@ def _enumerate(surface: SurfaceConstants) -> tuple[ActionType, ...]:
             # relation between the counts
             if 2 * m_plus + m_minus != {1: 3, 3: 12}[bplus]:
                 continue
-            survivors.append((m_plus, m_minus, b2, bplus, bminus, int(sign), int(euler)))
+            survivors.append((m_plus, m_minus, b2, bplus, bminus, sign, euler))
     survivors.sort(key=lambda row: (-row[3], -row[0]))
     if [row[3] for row in survivors] != [3, 3, 3, 1]:
         raise ArithmeticError("admissible set drifted from the expected four types")

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclotomic import Cyclotomic, half_power, zeta_power
 
@@ -40,6 +41,7 @@ def normalize_type(a: int, b: int) -> FixedPointType:
     return FixedPointType.MINUS if ra == rb else FixedPointType.PLUS
 
 
+@lru_cache(maxsize=None)
 def signature_defect(t: FixedPointType) -> Cyclotomic:
     """g-signature summand (z^a+1)(z^b+1) / ((z^a-1)(z^b-1)) for the type's weights."""
     a, b = t.weights
@@ -48,6 +50,7 @@ def signature_defect(t: FixedPointType) -> Cyclotomic:
     return num / den
 
 
+@lru_cache(maxsize=None)
 def spin_defect(t: FixedPointType) -> Cyclotomic:
     """Spin fixed-point contribution 1/((r - 1/r)(s - 1/s)).
 
@@ -119,11 +122,15 @@ def parse_fixed_data(text: str) -> FixedPointData:
 
 
 def g_signature_of_data(d: FixedPointData) -> Fraction:
-    """Total g-signature defect of the data; equals (m_plus - m_minus)/3."""
-    total = d.m_plus * signature_defect(FixedPointType.PLUS) + d.m_minus * signature_defect(
-        FixedPointType.MINUS
-    )
-    return total.as_rational()
+    """Total g-signature defect of the data; equals (m_plus - m_minus)/3.
+
+    Galois conjugation maps each local type to itself (weights (1, 2) to
+    (2, 1), and (1, 1) to (2, 2)), so each defect is rational and the sum
+    is taken in Q.
+    """
+    plus = signature_defect(FixedPointType.PLUS).as_rational()
+    minus = signature_defect(FixedPointType.MINUS).as_rational()
+    return d.m_plus * plus + d.m_minus * minus
 
 
 @dataclass(frozen=True)
@@ -170,7 +177,11 @@ def dirac_coefficients(d: FixedPointData, ind1: int = 2) -> DiracIndex:
         ks.append(int(val))
     k = DiracIndex(*ks)
     # exact re-substitution into the three defining equations
-    assert k.total == ind1 and k.k1 == k.k2
-    assert k.k0 + zeta_power(1) * k.k1 + zeta_power(2) * k.k2 == ind_g
-    assert k.k0 + zeta_power(2) * k.k1 + zeta_power(4) * k.k2 == ind_gg
+    if not (
+        k.total == ind1
+        and k.k1 == k.k2
+        and k.k0 + zeta_power(1) * k.k1 + zeta_power(2) * k.k2 == ind_g
+        and k.k0 + zeta_power(2) * k.k1 + zeta_power(4) * k.k2 == ind_gg
+    ):
+        raise ArithmeticError(f"Dirac multiplicities {k.as_tuple()} fail re-substitution")
     return k

@@ -96,31 +96,33 @@ def gamma16(k: int) -> GLattice:
     negated Euclidean form.  The generator permutes coordinates by
     (1 2 3)(4 5 6)...(3k-2 3k-1 3k).  The integral basis used is
     f_i = e_i + e_16 (i <= 9), f_i = e_i - e_16 (10 <= i <= 15) and
-    f_16 = (e_1 + ... + e_16)/2; the action matrix stays integral as
+    f_16 = (e_1 + ... + e_16)/2.  Each 3-cycle stays inside {1..9} or
+    {10..15}, so it permutes the f_i exactly as it permutes the e_i: the
+    action matrix is the coordinate permutation itself, and integral as
     long as the cycles avoid coordinate 16, hence k <= 5.
     """
     if not 0 <= k <= 5:
         raise ValueError("k must lie in 0..5 (the 3-cycles must avoid coordinate 16)")
     n = 16
-    half = Fraction(1, 2)
-    basis = np.full((n, n), Fraction(0), dtype=object)
+    # columns are the doubled basis vectors 2*f_i: integral, and their
+    # products 4*(f_i . f_j) divide exactly by 4
+    doubled = linalg.zeros(n, n)
     for i in range(9):
-        basis[i, i] = Fraction(1)
-        basis[n - 1, i] = Fraction(1)
+        doubled[i, i] = 2
+        doubled[n - 1, i] = 2
     for i in range(9, 15):
-        basis[i, i] = Fraction(1)
-        basis[n - 1, i] = Fraction(-1)
+        doubled[i, i] = 2
+        doubled[n - 1, i] = -2
     for i in range(n):
-        basis[i, n - 1] = half
-    gram = linalg.as_int_matrix(-(basis.T @ basis))
+        doubled[i, n - 1] = 1
+    gram = -(doubled.T @ doubled) // 4
     perm = linalg.zeros(n, n)
     for c in range(3 * k):
         image = c - 2 if c % 3 == 2 else c + 1
         perm[image, c] = 1
     for c in range(3 * k, n):
         perm[c, c] = 1
-    action = linalg.as_int_matrix(linalg.rational_inverse(basis) @ perm @ basis)
-    return GLattice(gram, action, label=f"Gamma16(k={k})")
+    return GLattice(gram, perm, label=f"Gamma16(k={k})")
 
 
 def three_h_perm() -> GLattice:
@@ -262,18 +264,17 @@ def fixed_sublattice(L: GLattice) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-_SIG_CACHE: dict = {}
-
-
 def signature(mat) -> tuple[int, int, int]:
     """Inertia (pos, neg, null) of a symmetric matrix with exact entries."""
-    arr = linalg.as_matrix(mat)
-    key = tuple(map(tuple, arr.tolist()))
-    got = _SIG_CACHE.get(key)
-    if got is None:
-        got = linalg.inertia(arr)
-        _SIG_CACHE[key] = got
-    return got
+    return _inertia_of_rows(tuple(map(tuple, linalg.as_matrix(mat).tolist())))
+
+
+# One verification asks for the same two forms several times (the record,
+# then the g-signature of g and of g^2); a few slots keep those hits without
+# holding on to every form ever audited.
+@lru_cache(maxsize=8)
+def _inertia_of_rows(rows: tuple[tuple, ...]) -> tuple[int, int, int]:
+    return linalg.inertia(rows)
 
 
 _ORDER_ERROR = "action has order != 3 or internal bug"

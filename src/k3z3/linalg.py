@@ -217,9 +217,10 @@ def smith_normal_form(a, check: bool = False):
     vmat = np.array(v, dtype=object) if m else np.empty((0, 0), dtype=object)
     dmat = np.array(d, dtype=object) if n and m else zeros(n, m)
     if check:
-        assert np.array_equal(umat @ a @ vmat, dmat)
-        assert abs(bareiss_determinant(umat)) == 1
-        assert abs(bareiss_determinant(vmat)) == 1
+        if not np.array_equal(umat @ a @ vmat, dmat):
+            raise ArithmeticError("Smith form check failed: U @ a @ V != D")
+        if abs(bareiss_determinant(umat)) != 1 or abs(bareiss_determinant(vmat)) != 1:
+            raise ArithmeticError("Smith form check failed: U or V is not unimodular")
     return umat, dmat, vmat
 
 
@@ -272,32 +273,6 @@ def solve_integer(a, b) -> np.ndarray:
         if any(rhs[i, j] != 0 for j in range(k)):
             raise ValueError("inconsistent linear system")
     return v @ z
-
-
-def rational_inverse(a) -> np.ndarray:
-    """Exact inverse over Q as a matrix of Fractions."""
-    arr = as_matrix(a)
-    n, m = arr.shape
-    if n != m:
-        raise ValueError("inverse needs a square matrix")
-    aug = [
-        [Fraction(arr[i, j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv_p = 1 / aug[c][c]
-        aug[c] = [x * inv_p for x in aug[c]]
-        prow = aug[c]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], prow)]
-    return np.array([row[n:] for row in aug], dtype=object)
 
 
 def inertia(a) -> tuple[int, int, int]:

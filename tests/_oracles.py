@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's exact kernels: defect
 values are recomputed in complex floating point straight from their
 defining formulas, admissible rows are re-derived from the raw
-integrality constraints, and determinants fall back to cofactor
-expansion.  The exact code is then required to agree.
+integrality constraints, determinants fall back to cofactor expansion,
+and the Gamma16 models are rebuilt by an explicit change of basis over
+Q.  The exact code is then required to agree.
 """
 
 from __future__ import annotations
@@ -88,6 +89,58 @@ def naive_determinant(m) -> int:
         minor = [row[:c] + row[c + 1 :] for row in m[1:]]
         total += (-1) ** c * m[0][c] * naive_determinant(minor)
     return total
+
+
+def rational_inverse(a) -> np.ndarray:
+    """Exact inverse over Q as a matrix of Fractions, by Gauss-Jordan elimination."""
+    arr = np.array(a, dtype=object)
+    n, m = arr.shape
+    if n != m:
+        raise ValueError("inverse needs a square matrix")
+    aug = [
+        [Fraction(arr[i, j]) for j in range(n)]
+        + [Fraction(1 if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv_p = 1 / aug[c][c]
+        aug[c] = [x * inv_p for x in aug[c]]
+        prow = aug[c]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], prow)]
+    return np.array([row[n:] for row in aug], dtype=object)
+
+
+def gamma16_by_basis_change(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gram, action) of Gamma16 with k coordinate 3-cycles, over Q.
+
+    The basis f_i = e_i + e_16 (i <= 9), e_i - e_16 (10 <= i <= 15),
+    f_16 = (e_1 + ... + e_16)/2 is held as a matrix of Fractions; the gram
+    matrix is -(basis^T basis) and the action is the coordinate
+    permutation conjugated into that basis, basis^-1 @ perm @ basis.
+    """
+    n = 16
+    basis = np.full((n, n), Fraction(0), dtype=object)
+    for i in range(9):
+        basis[i, i] = Fraction(1)
+        basis[n - 1, i] = Fraction(1)
+    for i in range(9, 15):
+        basis[i, i] = Fraction(1)
+        basis[n - 1, i] = Fraction(-1)
+    for i in range(n):
+        basis[i, n - 1] = Fraction(1, 2)
+    perm = np.full((n, n), 0, dtype=object)
+    for c in range(3 * k):
+        perm[c - 2 if c % 3 == 2 else c + 1, c] = 1
+    for c in range(3 * k, n):
+        perm[c, c] = 1
+    return -(basis.T @ basis), rational_inverse(basis) @ perm @ basis
 
 
 def brute_force_admissible() -> list[tuple[int, int, int, int, int, int, int]]:

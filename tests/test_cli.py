@@ -46,6 +46,32 @@ def test_error_diagnostics_subprocess():
     assert "no consistent spin lift" in result.stderr
 
 
+def test_only_verify_loads_numpy():
+    # a fresh process, so that no earlier test has imported numpy already
+    code = (
+        "import sys\n"
+        "import k3z3\n"
+        "from k3z3 import cli\n"
+        "for argv in (['classify'], ['dirac', '--mplus', '3', '--mminus', '6'],\n"
+        "             ['gsig', '--mplus', '3', '--mminus', '6'], ['smooth', '--type', 'A1']):\n"
+        "    print(argv[0], cli.run(argv)[0], 'numpy' in sys.modules)\n"
+        "print('verify', cli.run(['verify', '--type', 'A1'])[0], 'numpy' in sys.modules)\n"
+        "from k3z3 import GLattice, gamma16\n"
+        "print(isinstance(gamma16(1), GLattice), all(hasattr(k3z3, n) for n in k3z3.__all__))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n") == [
+        "classify 0 False",
+        "dirac 0 False",
+        "gsig 0 False",
+        "smooth 0 False",
+        "verify 0 True",
+        "True True",
+        "",
+    ]
+
+
 def test_classify_text_is_golden():
     code, out = run_cli("classify", "--format", "text")
     assert code == 0

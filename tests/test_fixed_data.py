@@ -1,6 +1,8 @@
 """Fixed-point types, defects and equivariant Dirac multiplicities."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -186,3 +188,19 @@ def test_random_data_aggregates(seed=17):
         m_minus = rng.randint(0, 24 - m_plus)
         d = FixedPointData(m_plus, m_minus)
         assert g_signature_of_data(d) == Fraction(m_plus - m_minus, 3)
+
+
+def test_dirac_self_check_survives_optimized_mode():
+    # a corrupted DiracIndex must still be caught when python -O strips asserts
+    code = (
+        "from k3z3 import fixed_data as fd\n"
+        "real = fd.DiracIndex\n"
+        "fd.DiracIndex = lambda k0, k1, k2: real(k0 + 1, k1, k2)\n"
+        "try:\n"
+        "    fd.dirac_coefficients(fd.FixedPointData(3, 6))\n"
+        "except ArithmeticError as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("False Dirac multiplicities (1, 1, 1) fail re-substitution")

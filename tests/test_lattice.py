@@ -29,7 +29,7 @@ from k3z3 import (
 from k3z3.lattice import TORSION_NOTE
 from k3z3.linalg import bareiss_determinant, identity
 
-from _oracles import transformed
+from _oracles import gamma16_by_basis_change, transformed
 
 
 def hexagonal_plane() -> GLattice:
@@ -57,6 +57,13 @@ def test_gamma16_verifies_and_decomposes(k):
     assert report.passed, report
     assert report.det == 1
     assert module_decomposition(L).as_tuple() == (16 - 3 * k, 0, k)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_gamma16_matches_rational_basis_change(k):
+    gram, action = gamma16_by_basis_change(k)
+    assert np.array_equal(gamma16(k).gram, gram)
+    assert np.array_equal(gamma16(k).action, action)
 
 
 def test_gamma16_is_negative_definite():

@@ -1,6 +1,8 @@
 """Exact matrix kernels against independent oracles."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -115,19 +117,6 @@ def test_solve_integer_error_cases():
         linalg.solve_integer([[1, 1], [1, 1]], [[1], [1]])
 
 
-def test_rational_inverse():
-    rng = random.Random(41)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        u, uinv = random_unimodular_pair(rng, n)
-        assert np.array_equal(linalg.rational_inverse(u), uinv)
-    a = [[Fraction(1, 2), 0], [Fraction(1, 3), Fraction(2, 1)]]
-    ainv = linalg.rational_inverse(a)
-    assert np.array_equal(linalg.as_matrix(a) @ ainv, linalg.identity(2))
-    with pytest.raises(ValueError, match="singular"):
-        linalg.rational_inverse([[1, 2], [2, 4]])
-
-
 def test_inertia_examples():
     assert linalg.inertia([[0, 1], [1, 0]]) == (1, 1, 0)
     assert linalg.inertia([[2, 0], [0, -3]]) == (1, 1, 0)
@@ -189,3 +178,18 @@ def test_block_diag_and_identity():
     a = linalg.block_diag([[1]], [[2, 0], [0, 3]])
     assert a.tolist() == [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
     assert linalg.identity(3).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_smith_normal_form_check_survives_optimized_mode():
+    # a failed unimodularity check must still raise when python -O strips asserts
+    code = (
+        "from k3z3 import linalg\n"
+        "linalg.bareiss_determinant = lambda a: 2\n"
+        "try:\n"
+        "    linalg.smith_normal_form([[2, 4], [6, 9]], check=True)\n"
+        "except ArithmeticError as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("False Smith form check failed: U or V is not unimodular")
