@@ -17,7 +17,7 @@ from .fixed_data import FixedPointData, g_signature_of_data
 
 @dataclass(frozen=True)
 class SurfaceConstants:
-    """Topological constants of the target 4-manifold (defaults: K3)."""
+    """Topological constants of the K3 surface."""
 
     euler: int = 24
     sign: int = -16
@@ -29,16 +29,14 @@ class SurfaceConstants:
 K3 = SurfaceConstants()
 
 
-def quotient_invariants(
-    d: FixedPointData, surface: SurfaceConstants = K3
-) -> tuple[Fraction, Fraction]:
+def quotient_invariants(d: FixedPointData) -> tuple[Fraction, Fraction]:
     """Euler number and signature of the orbit space, exactly.
 
     chi(X/G) = (chi(X) + 2 #fixed)/3 and Sign(X/G) = (Sign(X) + 2 Sign(g))/3.
     Neither value is assumed integral; callers filter on that.
     """
-    euler = Fraction(surface.euler + 2 * d.total, 3)
-    sign = (surface.sign + 2 * g_signature_of_data(d)) / 3
+    euler = Fraction(K3.euler + 2 * d.total, 3)
+    sign = (K3.sign + 2 * g_signature_of_data(d)) / 3
     return euler, sign
 
 
@@ -82,13 +80,13 @@ class ActionType:
 
 
 @lru_cache(maxsize=None)
-def _enumerate(surface: SurfaceConstants) -> tuple[ActionType, ...]:
-    bound = surface.b2 + 2
+def _enumerate() -> tuple[ActionType, ...]:
+    bound = K3.b2 + 2
     survivors = []
     for m_plus in range(bound + 1):
         for m_minus in range(bound + 1 - m_plus):
             d = FixedPointData(m_plus, m_minus)
-            euler_q, sign_q = quotient_invariants(d, surface)
+            euler_q, sign_q = quotient_invariants(d)
             if euler_q.denominator != 1 or sign_q.denominator != 1:
                 continue
             euler, sign = euler_q.numerator, sign_q.numerator
@@ -97,10 +95,10 @@ def _enumerate(surface: SurfaceConstants) -> tuple[ActionType, ...]:
                 continue
             bplus = (b2 + sign) // 2
             bminus = (b2 - sign) // 2
-            if not (0 <= bplus <= surface.b_plus and 0 <= bminus <= surface.b_minus):
+            if not (0 <= bplus <= K3.b_plus and 0 <= bminus <= K3.b_minus):
                 continue
             # the non-fixed cohomology splits into rank-2 rotation planes
-            if (surface.b_plus - bplus) % 2 or (surface.b_minus - bminus) % 2:
+            if (K3.b_plus - bplus) % 2 or (K3.b_minus - bminus) % 2:
                 continue
             # each feasible fixed rank on the positive cone pins a linear
             # relation between the counts
@@ -134,13 +132,13 @@ def _enumerate(surface: SurfaceConstants) -> tuple[ActionType, ...]:
     return tuple(rows)
 
 
-def enumerate_action_types(surface: SurfaceConstants = K3) -> list[ActionType]:
+def enumerate_action_types() -> list[ActionType]:
     """The admissible action types, in deterministic display order.
 
     Rows are sorted by b+^G descending, then m+ descending, and named
     A0, A1, A2 (trivial positive-cone action) and B.
     """
-    return list(_enumerate(surface))
+    return list(_enumerate())
 
 
 def action_type(name: str) -> ActionType:

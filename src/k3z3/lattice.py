@@ -12,14 +12,13 @@ Lefschetz fixed-point count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
 from .classify import ActionType
-from .fixed_data import FixedPointData, FixedPointType, signature_defect
+from .fixed_data import FixedPointData, g_signature_of_data
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +44,6 @@ class GLattice:
         action.setflags(write=False)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "action", action)
-        # memo for derived pure values; safe because the arrays are frozen
-        object.__setattr__(self, "_cache", {})
 
     @property
     def rank(self) -> int:
@@ -246,6 +243,11 @@ def verify_lattice(L: GLattice) -> LatticeReport:
     )
 
 
+# fixed_sublattice and module_decomposition keep a few lattices each.
+# GLattice compares by identity (eq=False), so an entry is keyed on one
+# object, which the cache keeps alive while the entry lasts; the arrays
+# handed out are frozen.
+@lru_cache(maxsize=8)
 def fixed_sublattice(L: GLattice) -> tuple[np.ndarray, np.ndarray]:
     """Basis of the invariant sublattice and the form restricted to it.
 
@@ -253,15 +255,11 @@ def fixed_sublattice(L: GLattice) -> tuple[np.ndarray, np.ndarray]:
     form, hence is saturated: its rank equals the real fixed rank.
     Expects a lattice that passes verify_lattice.
     """
-    cached = L._cache.get("fixed")
-    if cached is None:
-        basis = linalg.integer_kernel(L.action - linalg.identity(L.rank))
-        restricted = basis.T @ L.gram @ basis
-        basis.setflags(write=False)
-        restricted.setflags(write=False)
-        cached = (basis, restricted)
-        L._cache["fixed"] = cached
-    return cached
+    basis = linalg.integer_kernel(L.action - linalg.identity(L.rank))
+    restricted = basis.T @ L.gram @ basis
+    basis.setflags(write=False)
+    restricted.setflags(write=False)
+    return basis, restricted
 
 
 def signature(mat) -> tuple[int, int, int]:
@@ -269,9 +267,9 @@ def signature(mat) -> tuple[int, int, int]:
     return _inertia_of_rows(tuple(map(tuple, linalg.as_matrix(mat).tolist())))
 
 
-# One verification asks for the same two forms several times (the record,
-# then the g-signature of g and of g^2); a few slots keep those hits without
-# holding on to every form ever audited.
+# One verification asks for the same two forms twice (the record, then the
+# g-signature); a few slots keep those hits without holding on to every
+# form ever audited.
 @lru_cache(maxsize=8)
 def _inertia_of_rows(rows: tuple[tuple, ...]) -> tuple[int, int, int]:
     return linalg.inertia(rows)
@@ -280,17 +278,16 @@ def _inertia_of_rows(rows: tuple[tuple, ...]) -> tuple[int, int, int]:
 _ORDER_ERROR = "action has order != 3 or internal bug"
 
 
+@lru_cache(maxsize=8)
 def module_decomposition(L: GLattice) -> ModuleDecomposition:
     """Split the action module as a*Z + b*Z[zeta] + c*Z[G].
 
-    a - b is the trace, a + c the fixed rank, and b the 3-rank of the
-    quotient ker(1 + g + g^2) / im(g - 1), computed over Z: the image
-    is rewritten in a saturated kernel basis and its elementary
-    divisors counted (one factor of 3 per rank-2 summand).
+    With f the fixed rank and r the rank of g - 1 over F_3,
+    b = 2f - 2 tr(g) - r, a = tr(g) + b and c = f - a: by Reiner's
+    classification these three summands are the only indecomposable
+    integral representations of the cyclic group of order 3, and they
+    contribute (1, -1, 0) to the trace, (1, 0, 1) to f and (0, 1, 2) to r.
     """
-    cached = L._cache.get("decomposition")
-    if cached is not None:
-        return cached
     n = L.rank
     act = L.action
     ident = linalg.identity(n)
@@ -298,28 +295,12 @@ def module_decomposition(L: GLattice) -> ModuleDecomposition:
         raise ValueError(_ORDER_ERROR)
     trace = L.trace
     fixed_rank = fixed_sublattice(L)[0].shape[1]
-    kernel = linalg.integer_kernel(ident + act + act @ act)
-    r = kernel.shape[1]
-    if r == 0:
-        h = 0
-    else:
-        try:
-            coords = linalg.solve_integer(kernel, act - ident)
-        except ValueError as exc:
-            raise ValueError(_ORDER_ERROR) from exc
-        divisors = linalg.elementary_divisors(coords)
-        # the quotient is finite and killed by 3
-        if len(divisors) != r or any(dv not in (1, 3) for dv in divisors):
-            raise ValueError(_ORDER_ERROR)
-        h = sum(1 for dv in divisors if dv == 3)
-    b = h
+    b = 2 * fixed_rank - 2 * trace - linalg.rank_mod3(act - ident)
     a = trace + b
     c = fixed_rank - a
     if a < 0 or b < 0 or c < 0 or a + 2 * b + 3 * c != n:
         raise ValueError(_ORDER_ERROR)
-    dec = ModuleDecomposition(a, b, c)
-    L._cache["decomposition"] = dec
-    return dec
+    return ModuleDecomposition(a, b, c)
 
 
 def g_signature_of_lattice(L: GLattice) -> int:
@@ -330,9 +311,6 @@ def g_signature_of_lattice(L: GLattice) -> int:
     with Sign^G the signature of the restricted form on the fixed
     sublattice.  Expects a lattice that passes verify_lattice.
     """
-    cached = L._cache.get("gsig")
-    if cached is not None:
-        return cached
     pos, neg, null = signature(L.gram)
     fpos, fneg, fnull = signature(fixed_sublattice(L)[1])
     if null or fnull:
@@ -340,9 +318,7 @@ def g_signature_of_lattice(L: GLattice) -> int:
     total = 3 * (fpos - fneg) - (pos - neg)
     if total % 2:
         raise ValueError("inconsistent eigenstructure: odd plane defect")
-    result = total // 2
-    L._cache["gsig"] = result
-    return result
+    return total // 2
 
 
 # ---------------------------------------------------------------------------
@@ -361,21 +337,15 @@ def check_rep(L: GLattice, fixed_count: int) -> bool:
 def check_gsf(L: GLattice, d: FixedPointData) -> bool:
     """g-signature formula: the lattice g-signature equals the defect sum.
 
-    Both sides are also evaluated for the squared generator (the Galois
-    conjugate on the defect side); a mismatch between the two
-    evaluations would mean the order-3 structure is broken and raises.
+    Checking g settles g^2 as well: the two fix the same sublattice, so
+    they have the same lattice g-signature, and each defect is rational,
+    so the defect sum equals its Galois conjugate.  Raises ValueError
+    unless the action has order 3.
     """
-    lat = g_signature_of_lattice(L)
-    squared = GLattice(L.gram, L.action @ L.action, label=f"{L.label} (g^2)")
-    lat_sq = g_signature_of_lattice(squared)
-    aggregate = d.m_plus * signature_defect(FixedPointType.PLUS) + d.m_minus * signature_defect(
-        FixedPointType.MINUS
-    )
-    dat = aggregate.as_rational()
-    dat_sq = aggregate.conjugate().as_rational()
-    if lat != lat_sq or dat != dat_sq:
-        raise ValueError("generator and its square disagree; order-3 structure broken")
-    return Fraction(lat) == dat
+    act = L.action
+    if not np.array_equal(act @ act @ act, linalg.identity(L.rank)):
+        raise ValueError(_ORDER_ERROR)
+    return g_signature_of_lattice(L) == g_signature_of_data(d)
 
 
 def check_lefschetz(L: GLattice, fixed_count: int) -> bool:

@@ -2,11 +2,12 @@
 
 Every matrix handled here is small (rank <= 22), so the code favours
 exactness and auditability over asymptotics: determinants use
-fraction-free (Bareiss) elimination, kernels and finite quotients go
-through the Smith normal form, and the inertia of a symmetric form is
-obtained by fraction-free symmetric congruence elimination.  numpy
-object arrays serve purely as containers for python ints and Fractions;
-no floating point enters at any stage.
+fraction-free (Bareiss) elimination, saturated integer kernels go
+through the Smith normal form, ranks mod 3 through elimination over
+F_3, and the inertia of a symmetric form is obtained by fraction-free
+symmetric congruence elimination.  numpy object arrays serve purely as
+containers for python ints and Fractions; no floating point enters at
+any stage.
 """
 
 from __future__ import annotations
@@ -224,13 +225,6 @@ def smith_normal_form(a, check: bool = False):
     return umat, dmat, vmat
 
 
-def elementary_divisors(a) -> list[int]:
-    """Nonzero diagonal of the Smith form, in divisibility order."""
-    _, d, _ = smith_normal_form(a)
-    n, m = d.shape
-    return [int(d[i, i]) for i in range(min(n, m)) if d[i, i] != 0]
-
-
 def integer_kernel(a) -> np.ndarray:
     """Columns spanning the integer kernel of `a`.
 
@@ -245,34 +239,23 @@ def integer_kernel(a) -> np.ndarray:
     return v[:, free]
 
 
-def solve_integer(a, b) -> np.ndarray:
-    """Solve a @ x = b over the integers, for `a` of full column rank.
-
-    Raises ValueError when the system is inconsistent or has no
-    integral solution.
-    """
-    amat = as_matrix(a)
-    bmat = as_matrix(b)
-    n, r = amat.shape
-    if bmat.shape[0] != n:
-        raise ValueError("shape mismatch in solve_integer")
-    k = bmat.shape[1]
-    u, d, v = smith_normal_form(amat)
-    rhs = u @ bmat
-    z = zeros(r, k)
-    for i in range(r):
-        di = int(d[i, i]) if i < min(n, r) else 0
-        if di == 0:
-            raise ValueError("matrix does not have full column rank")
-        for j in range(k):
-            q, rem = divmod(rhs[i, j], di)
-            if rem:
-                raise ValueError("no integral solution")
-            z[i, j] = q
-    for i in range(r, n):
-        if any(rhs[i, j] != 0 for j in range(k)):
-            raise ValueError("inconsistent linear system")
-    return v @ z
+def rank_mod3(a) -> int:
+    """Rank over F_3 of an integer matrix, by Gaussian elimination mod 3."""
+    rows = [[x % 3 for x in row] for row in _int_rows(as_matrix(a))]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            # 1 and 2 are their own inverses mod 3
+            f = rows[i][col] * prow[col] % 3
+            if f:
+                rows[i] = [(x - f * y) % 3 for x, y in zip(rows[i], prow)]
+        rank += 1
+    return rank
 
 
 def inertia(a) -> tuple[int, int, int]:

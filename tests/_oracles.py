@@ -5,7 +5,10 @@ values are recomputed in complex floating point straight from their
 defining formulas, admissible rows are re-derived from the raw
 integrality constraints, determinants fall back to cofactor expansion,
 and the Gamma16 models are rebuilt by an explicit change of basis over
-Q.  The exact code is then required to agree.
+Q.  The one exception is the module decomposition, recounted from a
+finite quotient through the package's Smith normal form: a different
+route to (a, b, c) than the package's rank mod 3.  The exact code is
+then required to agree.
 """
 
 from __future__ import annotations
@@ -173,3 +176,71 @@ def brute_force_admissible() -> list[tuple[int, int, int, int, int, int, int]]:
                 continue
             rows.append((mp, mm, b2, bp, bm, sig, chi))
     return rows
+
+
+def elementary_divisors(a) -> list[int]:
+    """Nonzero diagonal of the Smith form, in divisibility order."""
+    from k3z3 import linalg
+
+    _, d, _ = linalg.smith_normal_form(a)
+    n, m = d.shape
+    return [int(d[i, i]) for i in range(min(n, m)) if d[i, i] != 0]
+
+
+def solve_integer(a, b) -> np.ndarray:
+    """Solve a @ x = b over the integers, for `a` of full column rank.
+
+    Raises ValueError when the system is inconsistent or has no
+    integral solution.
+    """
+    from k3z3 import linalg
+
+    amat = linalg.as_matrix(a)
+    bmat = linalg.as_matrix(b)
+    n, r = amat.shape
+    if bmat.shape[0] != n:
+        raise ValueError("shape mismatch in solve_integer")
+    k = bmat.shape[1]
+    u, d, v = linalg.smith_normal_form(amat)
+    rhs = u @ bmat
+    z = linalg.zeros(r, k)
+    for i in range(r):
+        di = int(d[i, i]) if i < min(n, r) else 0
+        if di == 0:
+            raise ValueError("matrix does not have full column rank")
+        for j in range(k):
+            q, rem = divmod(rhs[i, j], di)
+            if rem:
+                raise ValueError("no integral solution")
+            z[i, j] = q
+    for i in range(r, n):
+        if any(rhs[i, j] != 0 for j in range(k)):
+            raise ValueError("inconsistent linear system")
+    return v @ z
+
+
+def quotient_decomposition(L) -> tuple[int, int, int]:
+    """(a, b, c) of an order-3 action module a*Z + b*Z[zeta] + c*Z[G].
+
+    a - b is the trace, a + c the fixed rank, and b the 3-rank of the
+    quotient ker(1 + g + g^2) / im(g - 1), computed over Z: the image
+    is rewritten in a saturated kernel basis and its elementary
+    divisors counted (one factor of 3 per rank-2 summand).
+    """
+    from k3z3 import linalg
+
+    act = L.action
+    ident = linalg.identity(L.rank)
+    if not np.array_equal(act @ act @ act, ident):
+        raise ValueError("action does not have order 3")
+    fixed_rank = linalg.integer_kernel(act - ident).shape[1]
+    kernel = linalg.integer_kernel(ident + act + act @ act)
+    b = 0
+    if kernel.shape[1]:
+        divisors = elementary_divisors(solve_integer(kernel, act - ident))
+        # the quotient is finite and killed by 3
+        if len(divisors) != kernel.shape[1] or any(dv not in (1, 3) for dv in divisors):
+            raise ValueError("quotient is not an F_3 vector space")
+        b = divisors.count(3)
+    a = L.trace + b
+    return a, b, fixed_rank - a

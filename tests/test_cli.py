@@ -178,6 +178,24 @@ def test_verify_text_report():
     assert "torsion condition skipped" in out
 
 
+def test_verify_record_runs_one_smith_form(monkeypatch):
+    from k3z3 import classify, linalg
+
+    calls = []
+    original = linalg.smith_normal_form
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+    for t in classify.enumerate_action_types():
+        L = lattice.assemble_type_lattice(t)  # fresh, so nothing is memoized for it
+        calls.clear()
+        assert cli._verification_record(t, L)["_passed"]
+        assert len(calls) == 1, t.name
+
+
 def test_verify_exit_code_on_tampered_lattice(monkeypatch):
     original = lattice.assemble_type_lattice
 

@@ -10,7 +10,7 @@ import pytest
 
 from k3z3 import linalg
 
-from _oracles import naive_determinant, random_unimodular_pair
+from _oracles import elementary_divisors, naive_determinant, random_unimodular_pair
 
 
 def random_int_matrix(rng, n, m, span=6):
@@ -50,6 +50,15 @@ def test_bareiss_determinant_matches_cofactor_expansion():
         assert linalg.bareiss_determinant(m) == naive_determinant(m)
 
 
+def test_bareiss_determinant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(24)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        m = random_int_matrix(rng, n, n)
+        assert linalg.bareiss_determinant(m) == sympy.Matrix(m).det()
+
+
 def test_smith_normal_form_properties():
     rng = random.Random(29)
     for _ in range(40):
@@ -81,6 +90,19 @@ def test_smith_normal_form_handles_rank_deficiency():
     assert [int(d[i, i]) for i in range(3)] == [1, 0, 0]
 
 
+def test_smith_diagonal_matches_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(30)
+    for _ in range(40):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        a = random_int_matrix(rng, n, m)
+        _, d, _ = linalg.smith_normal_form(a)
+        diag = [int(d[i, i]) for i in range(min(n, m))]
+        assert diag == [int(x) for x in invariant_factors(sympy.Matrix(a))]
+
+
 def test_integer_kernel_is_saturated():
     rng = random.Random(31)
     for _ in range(40):
@@ -88,33 +110,31 @@ def test_integer_kernel_is_saturated():
         a = linalg.as_matrix(random_int_matrix(rng, n, m, span=4))
         ker = linalg.integer_kernel(a)
         assert not np.any(a @ ker) if ker.shape[1] else True
-        rank = len(linalg.elementary_divisors(a))
+        rank = len(elementary_divisors(a))
         assert ker.shape[1] == m - rank
         if ker.shape[1]:
             # a saturated lattice has unit elementary divisors
-            assert linalg.elementary_divisors(ker) == [1] * ker.shape[1]
+            assert elementary_divisors(ker) == [1] * ker.shape[1]
 
 
-def test_solve_integer_recovers_known_solutions():
-    rng = random.Random(37)
-    for _ in range(30):
-        n = rng.randint(2, 6)
-        r = rng.randint(1, n)
-        u, _ = random_unimodular_pair(rng, n)
-        a = u[:, :r]  # full column rank, saturated image
-        x = linalg.as_matrix(random_int_matrix(rng, r, 3, span=5))
-        b = a @ x
-        got = linalg.solve_integer(a, b)
-        assert np.array_equal(got, x)
+def test_rank_mod3_examples():
+    assert linalg.rank_mod3([]) == 0
+    assert linalg.rank_mod3([[3, 6], [9, -3]]) == 0
+    assert linalg.rank_mod3([[1, 2], [2, 1]]) == 1
+    assert linalg.rank_mod3([[1, 2, 0], [0, 1, 5], [4, 0, 1]]) == 3
+    with pytest.raises(ValueError, match="integer entries"):
+        linalg.rank_mod3([[Fraction(1, 3)]])
 
 
-def test_solve_integer_error_cases():
-    with pytest.raises(ValueError, match="inconsistent"):
-        linalg.solve_integer([[1], [0]], [[0], [1]])
-    with pytest.raises(ValueError, match="no integral solution"):
-        linalg.solve_integer([[2], [0]], [[1], [0]])
-    with pytest.raises(ValueError, match="full column rank"):
-        linalg.solve_integer([[1, 1], [1, 1]], [[1], [1]])
+def test_rank_mod3_matches_sympy_over_gf3():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(32)
+    for _ in range(40):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        a = random_int_matrix(rng, n, m)
+        assert linalg.rank_mod3(a) == DomainMatrix.from_list(a, sympy.GF(3)).rank()
 
 
 def test_inertia_examples():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import random_unimodular_pair, rational_inverse
+from _oracles import random_unimodular_pair, rational_inverse, solve_integer
 
 
 def test_rational_inverse():
@@ -20,3 +20,25 @@ def test_rational_inverse():
     assert np.array_equal(np.array(a, dtype=object) @ ainv, np.identity(2, dtype=object))
     with pytest.raises(ValueError, match="singular"):
         rational_inverse([[1, 2], [2, 4]])
+
+
+def test_solve_integer_recovers_known_solutions():
+    rng = random.Random(37)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        r = rng.randint(1, n)
+        u, _ = random_unimodular_pair(rng, n)
+        a = u[:, :r]  # full column rank, saturated image
+        x = np.array([[rng.randint(-5, 5) for _ in range(3)] for _ in range(r)], dtype=object)
+        b = a @ x
+        got = solve_integer(a, b)
+        assert np.array_equal(got, x)
+
+
+def test_solve_integer_error_cases():
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_integer([[1], [0]], [[0], [1]])
+    with pytest.raises(ValueError, match="no integral solution"):
+        solve_integer([[2], [0]], [[1], [0]])
+    with pytest.raises(ValueError, match="full column rank"):
+        solve_integer([[1, 1], [1, 1]], [[1], [1]])

@@ -1,0 +1,41 @@
+"""Property tests over generated order-3 action modules."""
+
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from k3z3 import GLattice, linalg, module_decomposition  # noqa: E402
+
+from _oracles import quotient_decomposition, random_unimodular_pair  # noqa: E402
+
+# the generator on Z, on Z[zeta] in the basis (1, zeta), and on Z[G]
+BLOCKS = ([[1]], [[0, -1], [1, -1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+
+
+@st.composite
+def modules(draw):
+    """(a, b, c, seed) with 1 <= a + 2b + 3c <= 22."""
+    c = draw(st.integers(0, 7))
+    b = draw(st.integers(0, (22 - 3 * c) // 2))
+    a = draw(st.integers(0 if b + c else 1, 22 - 3 * c - 2 * b))
+    return a, b, c, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(modules())
+def test_decomposition_recovered_under_basis_change(module):
+    a, b, c, seed = module
+    action = linalg.zeros(0, 0)
+    for block, count in zip(BLOCKS, (a, b, c)):
+        for _ in range(count):
+            action = linalg.block_diag(action, block)
+    n = action.shape[0]
+    u, uinv = random_unimodular_pair(random.Random(seed), n, steps=3 * n)
+    M = GLattice(linalg.identity(n), uinv @ action @ u)
+    assert module_decomposition(M).as_tuple() == (a, b, c)
+    assert quotient_decomposition(M) == (a, b, c)
