@@ -108,10 +108,8 @@ def _verification_record(t: classify.ActionType, L: GLattice) -> dict:
         "isometry": report.isometry,
         "order3": report.order3,
     }
-    booleans = [report.symmetric, report.unimodular, report.even, report.isometry, report.order3]
     try:
-        sig = lattice.signature(L.gram)
-        fsig = lattice.signature(lattice.fixed_sublattice(L)[1])
+        sig, fsig = lattice.signatures(L)
         record["signature"] = [sig[0], sig[1]]
         record["fixed_signature"] = [fsig[0], fsig[1]]
     except ValueError:
@@ -134,7 +132,7 @@ def _verification_record(t: classify.ActionType, L: GLattice) -> dict:
     record["_label"] = L.label
     record["_symmetric"] = report.symmetric
     record["_unimodular"] = report.unimodular
-    record["_passed"] = all(booleans) and record["rep"] and record["gsf"] and record["lefschetz"]
+    record["_passed"] = report.passed and record["rep"] and record["gsf"] and record["lefschetz"]
     return record
 
 

@@ -36,14 +36,12 @@ class GLattice:
     label: str = "lattice"
 
     def __post_init__(self):
-        gram = linalg.as_int_matrix(self.gram)
-        action = linalg.as_int_matrix(self.action)
-        if gram.shape[0] != gram.shape[1] or gram.shape != action.shape:
+        gram, action = linalg.int_rows(self.gram), linalg.int_rows(self.action)
+        n = len(gram)
+        if len(action) != n or any(len(row) != n for row in gram + action):
             raise ValueError("gram and action must be square matrices of equal size")
-        gram.setflags(write=False)
-        action.setflags(write=False)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "gram", _frozen(gram))
+        object.__setattr__(self, "action", _frozen(action))
 
     @property
     def rank(self) -> int:
@@ -52,6 +50,12 @@ class GLattice:
     @property
     def trace(self) -> int:
         return int(np.trace(self.action))
+
+
+def _frozen(rows: list[list[int]]) -> np.ndarray:
+    arr = np.array(rows, dtype=object) if rows else np.empty((0, 0), dtype=object)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -69,10 +73,6 @@ class ModuleDecomposition:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
-
-    @property
-    def rank(self) -> int:
-        return self.a + 2 * self.b + 3 * self.c
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +171,7 @@ def three_h_torus() -> GLattice:
     """
     # multiplication by zeta on Z + zeta*Z in the basis (1, zeta)
     mult_zeta = np.array([[0, -1], [1, -1]], dtype=object)
-    mult_zeta2 = linalg.as_int_matrix(mult_zeta @ mult_zeta)
-    g4 = linalg.block_diag(mult_zeta, mult_zeta2)
+    g4 = linalg.block_diag(mult_zeta, mult_zeta @ mult_zeta)
     action = _exterior_square(g4)
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     gram = linalg.zeros(6, 6)
@@ -226,6 +225,11 @@ class LatticeReport:
 TORSION_NOTE = "torsion condition skipped: redundant for order-3 actions"
 
 
+# Every cache below keeps a few lattices.  GLattice compares by identity
+# (eq=False), so an entry is keyed on one object, which the cache keeps
+# alive while the entry lasts; what is handed out is immutable.  One
+# verification reads each entry several times (the record, then the checks).
+@lru_cache(maxsize=8)
 def verify_lattice(L: GLattice) -> LatticeReport:
     """Audit the defining properties; failures are report entries, not errors."""
     g, a = L.gram, L.action
@@ -243,10 +247,6 @@ def verify_lattice(L: GLattice) -> LatticeReport:
     )
 
 
-# fixed_sublattice and module_decomposition keep a few lattices each.
-# GLattice compares by identity (eq=False), so an entry is keyed on one
-# object, which the cache keeps alive while the entry lasts; the arrays
-# handed out are frozen.
 @lru_cache(maxsize=8)
 def fixed_sublattice(L: GLattice) -> tuple[np.ndarray, np.ndarray]:
     """Basis of the invariant sublattice and the form restricted to it.
@@ -264,15 +264,13 @@ def fixed_sublattice(L: GLattice) -> tuple[np.ndarray, np.ndarray]:
 
 def signature(mat) -> tuple[int, int, int]:
     """Inertia (pos, neg, null) of a symmetric matrix with exact entries."""
-    return _inertia_of_rows(tuple(map(tuple, linalg.as_matrix(mat).tolist())))
+    return linalg.inertia(mat)
 
 
-# One verification asks for the same two forms twice (the record, then the
-# g-signature); a few slots keep those hits without holding on to every
-# form ever audited.
 @lru_cache(maxsize=8)
-def _inertia_of_rows(rows: tuple[tuple, ...]) -> tuple[int, int, int]:
-    return linalg.inertia(rows)
+def signatures(L: GLattice) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Inertia of the form and of the form restricted to the fixed sublattice."""
+    return signature(L.gram), signature(fixed_sublattice(L)[1])
 
 
 _ORDER_ERROR = "action has order != 3 or internal bug"
@@ -288,14 +286,12 @@ def module_decomposition(L: GLattice) -> ModuleDecomposition:
     integral representations of the cyclic group of order 3, and they
     contribute (1, -1, 0) to the trace, (1, 0, 1) to f and (0, 1, 2) to r.
     """
-    n = L.rank
-    act = L.action
-    ident = linalg.identity(n)
-    if not np.array_equal(act @ act @ act, ident):
+    if not verify_lattice(L).order3:
         raise ValueError(_ORDER_ERROR)
+    n = L.rank
     trace = L.trace
     fixed_rank = fixed_sublattice(L)[0].shape[1]
-    b = 2 * fixed_rank - 2 * trace - linalg.rank_mod3(act - ident)
+    b = 2 * fixed_rank - 2 * trace - linalg.rank_mod3(L.action - linalg.identity(n))
     a = trace + b
     c = fixed_rank - a
     if a < 0 or b < 0 or c < 0 or a + 2 * b + 3 * c != n:
@@ -311,8 +307,7 @@ def g_signature_of_lattice(L: GLattice) -> int:
     with Sign^G the signature of the restricted form on the fixed
     sublattice.  Expects a lattice that passes verify_lattice.
     """
-    pos, neg, null = signature(L.gram)
-    fpos, fneg, fnull = signature(fixed_sublattice(L)[1])
+    (pos, neg, null), (fpos, fneg, fnull) = signatures(L)
     if null or fnull:
         raise ValueError("inconsistent eigenstructure: degenerate form")
     total = 3 * (fpos - fneg) - (pos - neg)
@@ -342,8 +337,7 @@ def check_gsf(L: GLattice, d: FixedPointData) -> bool:
     so the defect sum equals its Galois conjugate.  Raises ValueError
     unless the action has order 3.
     """
-    act = L.action
-    if not np.array_equal(act @ act @ act, linalg.identity(L.rank)):
+    if not verify_lattice(L).order3:
         raise ValueError(_ORDER_ERROR)
     return g_signature_of_lattice(L) == g_signature_of_data(d)
 

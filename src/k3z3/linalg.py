@@ -5,9 +5,14 @@ exactness and auditability over asymptotics: determinants use
 fraction-free (Bareiss) elimination, saturated integer kernels go
 through the Smith normal form, ranks mod 3 through elimination over
 F_3, and the inertia of a symmetric form is obtained by fraction-free
-symmetric congruence elimination.  numpy object arrays serve purely as
-containers for python ints and Fractions; no floating point enters at
-any stage.
+symmetric congruence elimination.
+
+Each kernel takes nested sequences or a 2-D array and converts it once,
+straight to fresh rows of python ints (`int_rows`; `inertia` also
+clears Fractions), which it then reduces in place.  numpy object arrays
+are only a container: GLattice freezes its matrices in them, and the
+Smith form and integer kernels hand back their matrices in them.  No
+floating point enters at any stage.
 """
 
 from __future__ import annotations
@@ -18,31 +23,49 @@ from math import gcd
 import numpy as np
 
 
-def as_matrix(rows) -> np.ndarray:
-    """Copy nested sequences (or an array) into a 2-D object array."""
-    if isinstance(rows, np.ndarray):
-        if rows.ndim != 2:
+def _rows(a) -> list[list]:
+    """Fresh row lists of a 2-D matrix given as nested sequences or an array."""
+    if isinstance(a, np.ndarray):
+        if a.ndim != 2:
             raise ValueError("expected a 2-D matrix")
-        return rows.astype(object, copy=True)
+        return a.tolist()
     try:
-        data = [list(row) for row in rows]
+        rows = [list(row) for row in a]
     except TypeError:
         raise ValueError("expected a 2-D matrix") from None
-    if not data:
-        return np.empty((0, 0), dtype=object)
-    out = np.array(data, dtype=object)
-    if out.ndim != 2:
+    if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("expected a rectangular 2-D matrix")
-    return out
+    return rows
 
 
-def as_int_matrix(rows) -> np.ndarray:
-    """Like as_matrix, but entries must be integers (integral Fractions ok)."""
-    arr = as_matrix(rows)
-    n, m = arr.shape
-    if n and m:
-        return np.array(_int_rows(arr), dtype=object)
-    return arr
+def _as_int(x) -> int:
+    if isinstance(x, Fraction):
+        if x.denominator != 1:
+            raise ValueError("expected integer entries")
+        return x.numerator
+    if not isinstance(x, int):
+        raise ValueError(f"expected integer entries, got {type(x).__name__}")
+    return int(x)
+
+
+def int_rows(a) -> list[list[int]]:
+    """Validated fresh copy of an integer matrix as rows of python ints.
+
+    Integral Fractions become ints; any other entry raises ValueError.
+    """
+    rows = _rows(a)
+    for row in rows:
+        for x in row:
+            # an exact type test first: isinstance on Fraction goes through
+            # the numbers ABCs for every plain int
+            if type(x) is not int:
+                row[:] = map(_as_int, row)
+                break
+    return rows
+
+
+def _array(rows, n: int, m: int) -> np.ndarray:
+    return np.array(rows, dtype=object) if n and m else zeros(n, m)
 
 
 def identity(n: int) -> np.ndarray:
@@ -58,39 +81,16 @@ def zeros(n: int, m: int) -> np.ndarray:
 
 def block_diag(a, b) -> np.ndarray:
     """Block-diagonal join of two matrices."""
-    a, b = as_matrix(a), as_matrix(b)
+    a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
     out = zeros(a.shape[0] + b.shape[0], a.shape[1] + b.shape[1])
     out[: a.shape[0], : a.shape[1]] = a
     out[a.shape[0] :, a.shape[1] :] = b
     return out
 
 
-def is_symmetric(a) -> bool:
-    a = as_matrix(a)
-    return a.shape[0] == a.shape[1] and bool(np.array_equal(a, a.T))
-
-
-def _int_rows(a) -> list[list[int]]:
-    """Validated copy as lists of python ints."""
-    rows = a.tolist() if isinstance(a, np.ndarray) else a
-    out = []
-    for row in rows:
-        cur = []
-        for x in row:
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError("expected integer entries")
-                x = x.numerator
-            elif not isinstance(x, int):
-                raise ValueError(f"expected integer entries, got {type(x).__name__}")
-            cur.append(int(x))
-        out.append(cur)
-    return out
-
-
 def bareiss_determinant(a) -> int:
     """Exact integer determinant by fraction-free elimination."""
-    m = _int_rows(as_matrix(a))
+    m = int_rows(a)
     n = len(m)
     if n == 0:
         return 1
@@ -144,10 +144,10 @@ def smith_normal_form(a, check: bool = False):
     next.  With check=True the defining identities are re-verified
     before returning (useful in tests, skipped on hot paths).
     """
-    a = as_matrix(a)
-    d = _int_rows(a) if a.size else []
+    d = int_rows(a)
     n = len(d)
     m = len(d[0]) if n else 0
+    given = _array([row[:] for row in d], n, m) if check else None
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     v = [[int(i == j) for j in range(m)] for i in range(m)]
     t = 0
@@ -214,11 +214,9 @@ def smith_normal_form(a, check: bool = False):
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    umat = np.array(u, dtype=object) if n else np.empty((0, 0), dtype=object)
-    vmat = np.array(v, dtype=object) if m else np.empty((0, 0), dtype=object)
-    dmat = np.array(d, dtype=object) if n and m else zeros(n, m)
+    umat, dmat, vmat = _array(u, n, n), _array(d, n, m), _array(v, m, m)
     if check:
-        if not np.array_equal(umat @ a @ vmat, dmat):
+        if not np.array_equal(umat @ given @ vmat, dmat):
             raise ArithmeticError("Smith form check failed: U @ a @ V != D")
         if abs(bareiss_determinant(umat)) != 1 or abs(bareiss_determinant(vmat)) != 1:
             raise ArithmeticError("Smith form check failed: U or V is not unimodular")
@@ -232,16 +230,15 @@ def integer_kernel(a) -> np.ndarray:
     integer vector in its rational span is an integer combination of
     the returned columns.
     """
-    arr = as_matrix(a)
-    n, m = arr.shape
-    _, d, v = smith_normal_form(arr)
+    _, d, v = smith_normal_form(a)
+    n, m = d.shape
     free = [j for j in range(m) if j >= n or d[j, j] == 0]
     return v[:, free]
 
 
 def rank_mod3(a) -> int:
     """Rank over F_3 of an integer matrix, by Gaussian elimination mod 3."""
-    rows = [[x % 3 for x in row] for row in _int_rows(as_matrix(a))]
+    rows = [[x % 3 for x in row] for row in int_rows(a)]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
         piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
@@ -268,21 +265,20 @@ def inertia(a) -> tuple[int, int, int]:
     with an all-zero diagonal gets a pivot manufactured by a symmetric
     row-and-column addition.
     """
-    arr = as_matrix(a)
-    n = arr.shape[0]
-    if arr.shape[1] != n or not np.array_equal(arr, arr.T):
+    rows = _rows(a)
+    n = len(rows)
+    if any(len(row) != n for row in rows) or [list(col) for col in zip(*rows)] != rows:
         raise ValueError("inertia needs a symmetric matrix")
-    if n == 0:
-        return (0, 0, 0)
-    den = 1
-    for i in range(n):
-        for j in range(n):
-            x = arr[i, j]
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
-            elif not isinstance(x, int):
-                raise ValueError(f"expected exact entries, got {type(x).__name__}")
-    s = [[int(arr[i, j] * den) for j in range(n)] for i in range(n)]
+    den, mixed = 1, False
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                mixed = True
+                if isinstance(x, Fraction):
+                    den = den * x.denominator // gcd(den, x.denominator)
+                elif not isinstance(x, int):
+                    raise ValueError(f"expected exact entries, got {type(x).__name__}")
+    s = [[int(x * den) for x in row] for row in rows] if mixed else rows
     pos = neg = null = 0
     prev = 1
     t = 0

@@ -195,8 +195,8 @@ def solve_integer(a, b) -> np.ndarray:
     """
     from k3z3 import linalg
 
-    amat = linalg.as_matrix(a)
-    bmat = linalg.as_matrix(b)
+    amat = np.array(a, dtype=object)
+    bmat = np.array(b, dtype=object)
     n, r = amat.shape
     if bmat.shape[0] != n:
         raise ValueError("shape mismatch in solve_integer")

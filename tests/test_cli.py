@@ -179,21 +179,27 @@ def test_verify_text_report():
 
 
 def test_verify_record_runs_one_smith_form(monkeypatch):
+    # the kernel budget of one record; each form and the order-3 product are
+    # computed once per lattice, however often the checks ask for them
     from k3z3 import classify, linalg
 
-    calls = []
-    original = linalg.smith_normal_form
+    budget = {"smith_normal_form": 1, "bareiss_determinant": 1, "inertia": 2, "rank_mod3": 1}
+    calls = dict.fromkeys(budget, 0)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+        return wrapper
+
+    for name in budget:
+        monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
     for t in classify.enumerate_action_types():
         L = lattice.assemble_type_lattice(t)  # fresh, so nothing is memoized for it
-        calls.clear()
+        calls.update(dict.fromkeys(budget, 0))
         assert cli._verification_record(t, L)["_passed"]
-        assert len(calls) == 1, t.name
+        assert calls == budget, t.name
 
 
 def test_verify_exit_code_on_tampered_lattice(monkeypatch):

@@ -205,6 +205,8 @@ def test_module_decomposition_rejects_wrong_order():
     rot4 = GLattice([[1, 0], [0, 1]], [[0, -1], [1, 0]], label="order 4")
     with pytest.raises(ValueError, match="order != 3"):
         module_decomposition(rot4)
+    with pytest.raises(ValueError, match="order != 3"):
+        check_gsf(rot4, FixedPointData(3, 6))
 
 
 def test_g_signature_of_assemblies():
