@@ -27,6 +27,25 @@ from .fixed_data import (
     signature_defect,
     spin_defect,
 )
+from .lattice import (
+    GLattice,
+    LatticeReport,
+    ModuleDecomposition,
+    assemble_type_lattice,
+    check_gsf,
+    check_lefschetz,
+    check_rep,
+    direct_sum,
+    fixed_sublattice,
+    g_signature_of_lattice,
+    gamma16,
+    hyperbolic,
+    module_decomposition,
+    signature,
+    three_h_perm,
+    three_h_torus,
+    verify_lattice,
+)
 from .obstruction import (
     ObstructionVerdict,
     Smoothability,
@@ -37,38 +56,6 @@ from .obstruction import (
 )
 
 __version__ = "0.1.0"
-
-# The lattice layer is the only one that needs numpy; its names resolve on
-# first access (PEP 562), so `import k3z3` and the non-lattice CLI
-# subcommands never load numpy.
-_LATTICE_NAMES = (
-    "GLattice",
-    "LatticeReport",
-    "ModuleDecomposition",
-    "assemble_type_lattice",
-    "check_gsf",
-    "check_lefschetz",
-    "check_rep",
-    "direct_sum",
-    "fixed_sublattice",
-    "g_signature_of_lattice",
-    "gamma16",
-    "hyperbolic",
-    "module_decomposition",
-    "signature",
-    "three_h_perm",
-    "three_h_torus",
-    "verify_lattice",
-)
-
-
-def __getattr__(name: str):
-    if name in _LATTICE_NAMES:
-        from . import lattice
-
-        return getattr(lattice, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "K3",
@@ -93,7 +80,23 @@ __all__ = [
     "parse_fixed_data",
     "signature_defect",
     "spin_defect",
-    *_LATTICE_NAMES,
+    "GLattice",
+    "LatticeReport",
+    "ModuleDecomposition",
+    "assemble_type_lattice",
+    "check_gsf",
+    "check_lefschetz",
+    "check_rep",
+    "direct_sum",
+    "fixed_sublattice",
+    "g_signature_of_lattice",
+    "gamma16",
+    "hyperbolic",
+    "module_decomposition",
+    "signature",
+    "three_h_perm",
+    "three_h_torus",
+    "verify_lattice",
     "ObstructionVerdict",
     "Smoothability",
     "SurfaceModel",

@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING
 
-from . import classify, obstruction
+from . import classify, lattice, obstruction
 from .fixed_data import (
     FixedPointData,
     FixedPointType,
@@ -22,11 +21,6 @@ from .fixed_data import (
     parse_fixed_data,
     signature_defect,
 )
-
-# `lattice` (and with it numpy) is imported inside the verify functions only,
-# so the other subcommands start without it.
-if TYPE_CHECKING:
-    from .lattice import GLattice
 
 TYPE_NAMES = ("A0", "A1", "A2", "B")
 
@@ -96,9 +90,7 @@ def _cmd_classify(args) -> tuple[int, str]:
 # verify
 
 
-def _verification_record(t: classify.ActionType, L: GLattice) -> dict:
-    from . import lattice
-
+def _verification_record(t: classify.ActionType, L: lattice.GLattice) -> dict:
     report = lattice.verify_lattice(L)
     record = {
         "type": t.name,
@@ -141,8 +133,6 @@ def _fmt_check(ok: bool) -> str:
 
 
 def _render_verify_text(rec: dict) -> str:
-    from .lattice import TORSION_NOTE
-
     sig = rec["signature"]
     fsig = rec["fixed_signature"]
     dec = rec["decomposition"]
@@ -161,14 +151,12 @@ def _render_verify_text(rec: dict) -> str:
         f"  REP              {_fmt_check(rec['rep'])}",
         f"  GSF              {_fmt_check(rec['gsf'])}",
         f"  Lefschetz        {_fmt_check(rec['lefschetz'])}",
-        f"  note: {TORSION_NOTE}",
+        f"  note: {lattice.TORSION_NOTE}",
     ]
     return "\n".join(lines) + "\n"
 
 
 def _cmd_verify(args) -> tuple[int, str]:
-    from . import lattice
-
     names = list(TYPE_NAMES) if args.all else [args.type_name]
     records = []
     for name in names:

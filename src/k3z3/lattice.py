@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import linalg
 from .classify import ActionType
 from .fixed_data import FixedPointData, g_signature_of_data
+from .linalg import Matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,8 +30,8 @@ class GLattice:
     can still be constructed and examined.
     """
 
-    gram: np.ndarray
-    action: np.ndarray
+    gram: Matrix
+    action: Matrix
     label: str = "lattice"
 
     def __post_init__(self):
@@ -40,22 +39,16 @@ class GLattice:
         n = len(gram)
         if len(action) != n or any(len(row) != n for row in gram + action):
             raise ValueError("gram and action must be square matrices of equal size")
-        object.__setattr__(self, "gram", _frozen(gram))
-        object.__setattr__(self, "action", _frozen(action))
+        object.__setattr__(self, "gram", Matrix(gram))
+        object.__setattr__(self, "action", Matrix(action))
 
     @property
     def rank(self) -> int:
-        return int(self.gram.shape[0])
+        return len(self.gram)
 
     @property
     def trace(self) -> int:
-        return int(np.trace(self.action))
-
-
-def _frozen(rows: list[list[int]]) -> np.ndarray:
-    arr = np.array(rows, dtype=object) if rows else np.empty((0, 0), dtype=object)
-    arr.setflags(write=False)
-    return arr
+        return sum(row[i] for i, row in enumerate(self.action))
 
 
 @dataclass(frozen=True)
@@ -103,22 +96,23 @@ def gamma16(k: int) -> GLattice:
     n = 16
     # columns are the doubled basis vectors 2*f_i: integral, and their
     # products 4*(f_i . f_j) divide exactly by 4
-    doubled = linalg.zeros(n, n)
+    doubled = [[0] * n for _ in range(n)]
     for i in range(9):
-        doubled[i, i] = 2
-        doubled[n - 1, i] = 2
+        doubled[i][i] = 2
+        doubled[n - 1][i] = 2
     for i in range(9, 15):
-        doubled[i, i] = 2
-        doubled[n - 1, i] = -2
+        doubled[i][i] = 2
+        doubled[n - 1][i] = -2
     for i in range(n):
-        doubled[i, n - 1] = 1
-    gram = -(doubled.T @ doubled) // 4
-    perm = linalg.zeros(n, n)
+        doubled[i][n - 1] = 1
+    doubled = Matrix(doubled)
+    gram = [[-x // 4 for x in row] for row in doubled.T @ doubled]
+    perm = [[0] * n for _ in range(n)]
     for c in range(3 * k):
         image = c - 2 if c % 3 == 2 else c + 1
-        perm[image, c] = 1
+        perm[image][c] = 1
     for c in range(3 * k, n):
-        perm[c, c] = 1
+        perm[c][c] = 1
     return GLattice(gram, perm, label=f"Gamma16(k={k})")
 
 
@@ -126,11 +120,11 @@ def three_h_perm() -> GLattice:
     """Orthogonal sum of three hyperbolic planes, cyclically permuted."""
     h = [[0, 1], [1, 0]]
     gram = linalg.block_diag(linalg.block_diag(h, h), h)
-    action = linalg.zeros(6, 6)
+    action = [[0] * 6 for _ in range(6)]
     for blk in range(3):
         tgt = (blk + 1) % 3
-        action[2 * tgt, 2 * blk] = 1
-        action[2 * tgt + 1, 2 * blk + 1] = 1
+        action[2 * tgt][2 * blk] = 1
+        action[2 * tgt + 1][2 * blk + 1] = 1
     return GLattice(gram, action, label="3H(cyclic)")
 
 
@@ -147,15 +141,11 @@ def _eps4(i: int, j: int, k: int, l: int) -> int:
     return sign
 
 
-def _exterior_square(m: np.ndarray) -> np.ndarray:
+def _exterior_square(m: Matrix) -> list[list[int]]:
     """Induced matrix on wedge^2, basis e_i ^ e_j (i < j) in lexicographic order."""
-    n = m.shape[0]
+    n = len(m)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = linalg.zeros(len(pairs), len(pairs))
-    for col, (i, j) in enumerate(pairs):
-        for row, (k, l) in enumerate(pairs):
-            out[row, col] = m[k, i] * m[l, j] - m[l, i] * m[k, j]
-    return out
+    return [[m[k][i] * m[l][j] - m[l][i] * m[k][j] for i, j in pairs] for k, l in pairs]
 
 
 def three_h_torus() -> GLattice:
@@ -170,14 +160,11 @@ def three_h_torus() -> GLattice:
     e2^e4, e3^e4.
     """
     # multiplication by zeta on Z + zeta*Z in the basis (1, zeta)
-    mult_zeta = np.array([[0, -1], [1, -1]], dtype=object)
+    mult_zeta = Matrix([[0, -1], [1, -1]])
     g4 = linalg.block_diag(mult_zeta, mult_zeta @ mult_zeta)
     action = _exterior_square(g4)
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    gram = linalg.zeros(6, 6)
-    for r, (i, j) in enumerate(pairs):
-        for c, (k, l) in enumerate(pairs):
-            gram[r, c] = _eps4(i, j, k, l)
+    gram = [[_eps4(i, j, k, l) for k, l in pairs] for i, j in pairs]
     return GLattice(gram, action, label="3H(torus)")
 
 
@@ -238,17 +225,17 @@ def verify_lattice(L: GLattice) -> LatticeReport:
         label=L.label,
         rank=L.rank,
         det=det,
-        symmetric=bool(np.array_equal(g, g.T)),
+        symmetric=g == g.T,
         unimodular=abs(det) == 1,
-        even=all(g[i, i] % 2 == 0 for i in range(L.rank)),
-        isometry=bool(np.array_equal(a.T @ g @ a, g)),
-        order3=bool(np.array_equal(a @ a @ a, linalg.identity(L.rank))),
+        even=all(row[i] % 2 == 0 for i, row in enumerate(g)),
+        isometry=a.T @ g @ a == g,
+        order3=a @ a @ a == linalg.identity(L.rank),
         notes=(TORSION_NOTE,),
     )
 
 
 @lru_cache(maxsize=8)
-def fixed_sublattice(L: GLattice) -> tuple[np.ndarray, np.ndarray]:
+def fixed_sublattice(L: GLattice) -> tuple[Matrix, Matrix]:
     """Basis of the invariant sublattice and the form restricted to it.
 
     The kernel of (action - 1) over Z comes out of the Smith normal
@@ -256,10 +243,7 @@ def fixed_sublattice(L: GLattice) -> tuple[np.ndarray, np.ndarray]:
     Expects a lattice that passes verify_lattice.
     """
     basis = linalg.integer_kernel(L.action - linalg.identity(L.rank))
-    restricted = basis.T @ L.gram @ basis
-    basis.setflags(write=False)
-    restricted.setflags(write=False)
-    return basis, restricted
+    return basis, basis.T @ L.gram @ basis
 
 
 def signature(mat) -> tuple[int, int, int]:

@@ -7,28 +7,95 @@ through the Smith normal form, ranks mod 3 through elimination over
 F_3, and the inertia of a symmetric form is obtained by fraction-free
 symmetric congruence elimination.
 
-Each kernel takes nested sequences or a 2-D array and converts it once,
-straight to fresh rows of python ints (`int_rows`; `inertia` also
-clears Fractions), which it then reduces in place.  numpy object arrays
-are only a container: GLattice freezes its matrices in them, and the
-Smith form and integer kernels hand back their matrices in them.  No
-floating point enters at any stage.
+Each kernel takes nested sequences (a `Matrix` among them) and converts
+it once, straight to fresh rows of python ints (`int_rows`; `inertia`
+also clears Fractions), which it then reduces in place.  Matrices that
+are kept or handed back (the GLattice forms, the Smith form and integer
+kernels) are `Matrix` values: immutable, exact, and with only the
+arithmetic the callers use.  No floating point enters at any stage.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import repeat
+from math import lcm
+from operator import add, index, mul, sub
 
-import numpy as np
+
+class Matrix(tuple):
+    """Immutable integer matrix: a tuple of row tuples of python ints.
+
+    `rows` are taken as given, so they should come from `int_rows` or
+    from another Matrix; `ncols` is read only when there are no rows.
+    Supports `@`, `+`, `-`, `.T`, `.shape` and `.tolist()`.  `==` is
+    tuple equality (so any two matrices without rows are equal), and
+    item assignment raises TypeError.
+    """
+
+    def __new__(cls, rows, ncols: int = 0):
+        self = super().__new__(cls, map(tuple, rows))
+        self.shape = (len(self), len(self[0]) if self else ncols)
+        return self
+
+    @property
+    def T(self) -> Matrix:
+        n, m = self.shape
+        return Matrix(zip(*self) if n else repeat((), m), n)
+
+    def tolist(self) -> list[list[int]]:
+        return [list(row) for row in self]
+
+    def __add__(self, other):
+        return self._entrywise(add, other)
+
+    def __sub__(self, other):
+        return self._entrywise(sub, other)
+
+    def _entrywise(self, op, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} and {other.shape}")
+        return Matrix(map(map, repeat(op), self, other), self.shape[1])
+
+    def __matmul__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        (n, k), (k2, m) = self.shape, other.shape
+        if k != k2:
+            raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
+        # one row operation per nonzero entry of the left factor, so the
+        # sparser factor goes on the left: A @ B == (B.T @ A.T).T
+        if _nonzeros(other) < _nonzeros(self):
+            return Matrix(_row_products(other.T, self.T, n), n).T
+        return Matrix(_row_products(self, other, m), m)
+
+
+def _nonzeros(a: Matrix) -> int:
+    n, m = a.shape
+    return n * m - sum(map(tuple.count, a, repeat(0)))
+
+
+def _row_products(a, b, m: int) -> list[tuple[int, ...]]:
+    """Rows of a @ b, each a combination of the rows of b (m columns)."""
+    out = []
+    zero = (0,) * m
+    for row in a:
+        acc = zero
+        for x, brow in zip(row, b):
+            if x == 1:
+                acc = tuple(map(add, acc, brow))
+            elif x == -1:
+                acc = tuple(map(sub, acc, brow))
+            elif x:
+                acc = tuple(map(add, acc, map(mul, repeat(x), brow)))
+        out.append(acc)
+    return out
 
 
 def _rows(a) -> list[list]:
-    """Fresh row lists of a 2-D matrix given as nested sequences or an array."""
-    if isinstance(a, np.ndarray):
-        if a.ndim != 2:
-            raise ValueError("expected a 2-D matrix")
-        return a.tolist()
+    """Fresh row lists of a 2-D matrix given as nested sequences."""
     try:
         rows = [list(row) for row in a]
     except TypeError:
@@ -43,15 +110,18 @@ def _as_int(x) -> int:
         if x.denominator != 1:
             raise ValueError("expected integer entries")
         return x.numerator
-    if not isinstance(x, int):
-        raise ValueError(f"expected integer entries, got {type(x).__name__}")
-    return int(x)
+    try:
+        # any integer type with __index__ passes; floats do not
+        return index(x)
+    except TypeError:
+        raise ValueError(f"expected integer entries, got {type(x).__name__}") from None
 
 
 def int_rows(a) -> list[list[int]]:
     """Validated fresh copy of an integer matrix as rows of python ints.
 
-    Integral Fractions become ints; any other entry raises ValueError.
+    Integral Fractions become ints; any other entry that is not an
+    integer raises ValueError.
     """
     rows = _rows(a)
     for row in rows:
@@ -64,28 +134,15 @@ def int_rows(a) -> list[list[int]]:
     return rows
 
 
-def _array(rows, n: int, m: int) -> np.ndarray:
-    return np.array(rows, dtype=object) if n and m else zeros(n, m)
+def identity(n: int) -> Matrix:
+    return Matrix([[int(i == j) for j in range(n)] for i in range(n)], n)
 
 
-def identity(n: int) -> np.ndarray:
-    out = np.full((n, n), 0, dtype=object)
-    for i in range(n):
-        out[i, i] = 1
-    return out
-
-
-def zeros(n: int, m: int) -> np.ndarray:
-    return np.full((n, m), 0, dtype=object)
-
-
-def block_diag(a, b) -> np.ndarray:
+def block_diag(a, b) -> Matrix:
     """Block-diagonal join of two matrices."""
-    a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
-    out = zeros(a.shape[0] + b.shape[0], a.shape[1] + b.shape[1])
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
+    a, b = int_rows(a), int_rows(b)
+    na, nb = len(a[0]) if a else 0, len(b[0]) if b else 0
+    return Matrix([row + [0] * nb for row in a] + [[0] * na + row for row in b], na + nb)
 
 
 def bareiss_determinant(a) -> int:
@@ -147,7 +204,7 @@ def smith_normal_form(a, check: bool = False):
     d = int_rows(a)
     n = len(d)
     m = len(d[0]) if n else 0
-    given = _array([row[:] for row in d], n, m) if check else None
+    given = Matrix(d, m) if check else None
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     v = [[int(i == j) for j in range(m)] for i in range(m)]
     t = 0
@@ -214,16 +271,16 @@ def smith_normal_form(a, check: bool = False):
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    umat, dmat, vmat = _array(u, n, n), _array(d, n, m), _array(v, m, m)
+    umat, dmat, vmat = Matrix(u, n), Matrix(d, m), Matrix(v, m)
     if check:
-        if not np.array_equal(umat @ given @ vmat, dmat):
+        if umat @ given @ vmat != dmat:
             raise ArithmeticError("Smith form check failed: U @ a @ V != D")
         if abs(bareiss_determinant(umat)) != 1 or abs(bareiss_determinant(vmat)) != 1:
             raise ArithmeticError("Smith form check failed: U or V is not unimodular")
     return umat, dmat, vmat
 
 
-def integer_kernel(a) -> np.ndarray:
+def integer_kernel(a) -> Matrix:
     """Columns spanning the integer kernel of `a`.
 
     Coming out of the Smith form, the kernel lattice is saturated: any
@@ -231,9 +288,8 @@ def integer_kernel(a) -> np.ndarray:
     the returned columns.
     """
     _, d, v = smith_normal_form(a)
-    n, m = d.shape
-    free = [j for j in range(m) if j >= n or d[j, j] == 0]
-    return v[:, free]
+    free = [j for j in range(len(v)) if j >= len(d) or d[j][j] == 0]
+    return Matrix([[row[j] for j in free] for row in v], len(free))
 
 
 def rank_mod3(a) -> int:
@@ -269,16 +325,18 @@ def inertia(a) -> tuple[int, int, int]:
     n = len(rows)
     if any(len(row) != n for row in rows) or [list(col) for col in zip(*rows)] != rows:
         raise ValueError("inertia needs a symmetric matrix")
-    den, mixed = 1, False
+    mixed = False
     for row in rows:
         for x in row:
             if type(x) is not int:
+                # Fractions stay; other integer types become python ints
+                row[:] = [y if isinstance(y, Fraction) else _as_int(y) for y in row]
                 mixed = True
-                if isinstance(x, Fraction):
-                    den = den * x.denominator // gcd(den, x.denominator)
-                elif not isinstance(x, int):
-                    raise ValueError(f"expected exact entries, got {type(x).__name__}")
-    s = [[int(x * den) for x in row] for row in rows] if mixed else rows
+                break
+    s = rows
+    if mixed:
+        den = lcm(*(x.denominator for row in rows for x in row))
+        s = [[int(x * den) for x in row] for row in rows]
     pos = neg = null = 0
     prev = 1
     t = 0

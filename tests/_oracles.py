@@ -8,7 +8,8 @@ and the Gamma16 models are rebuilt by an explicit change of basis over
 Q.  The one exception is the module decomposition, recounted from a
 finite quotient through the package's Smith normal form: a different
 route to (a, b, c) than the package's rank mod 3.  The exact code is
-then required to agree.
+then required to agree.  Basis changes multiply the package's `Matrix`
+values, whose arithmetic test_linalg checks against numpy object arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from k3z3.linalg import Matrix, int_rows
 
 ZETA_C = complex(-0.5, math.sqrt(3) / 2)
 
@@ -67,7 +70,7 @@ def random_unimodular_pair(rng, n: int, steps: int = 8):
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
         for r in range(n):
             uinv[r][j] -= c * uinv[r][i]
-    return np.array(u, dtype=object), np.array(uinv, dtype=object)
+    return Matrix(u), Matrix(uinv)
 
 
 def transformed(L, rng, steps: int = 8):
@@ -184,10 +187,10 @@ def elementary_divisors(a) -> list[int]:
 
     _, d, _ = linalg.smith_normal_form(a)
     n, m = d.shape
-    return [int(d[i, i]) for i in range(min(n, m)) if d[i, i] != 0]
+    return [d[i][i] for i in range(min(n, m)) if d[i][i] != 0]
 
 
-def solve_integer(a, b) -> np.ndarray:
+def solve_integer(a, b) -> Matrix:
     """Solve a @ x = b over the integers, for `a` of full column rank.
 
     Raises ValueError when the system is inconsistent or has no
@@ -195,28 +198,28 @@ def solve_integer(a, b) -> np.ndarray:
     """
     from k3z3 import linalg
 
-    amat = np.array(a, dtype=object)
-    bmat = np.array(b, dtype=object)
+    amat = Matrix(int_rows(a))
+    bmat = Matrix(int_rows(b))
     n, r = amat.shape
     if bmat.shape[0] != n:
         raise ValueError("shape mismatch in solve_integer")
     k = bmat.shape[1]
     u, d, v = linalg.smith_normal_form(amat)
     rhs = u @ bmat
-    z = linalg.zeros(r, k)
+    z = [[0] * k for _ in range(r)]
     for i in range(r):
-        di = int(d[i, i]) if i < min(n, r) else 0
+        di = d[i][i] if i < min(n, r) else 0
         if di == 0:
             raise ValueError("matrix does not have full column rank")
         for j in range(k):
-            q, rem = divmod(rhs[i, j], di)
+            q, rem = divmod(rhs[i][j], di)
             if rem:
                 raise ValueError("no integral solution")
-            z[i, j] = q
+            z[i][j] = q
     for i in range(r, n):
-        if any(rhs[i, j] != 0 for j in range(k)):
+        if any(rhs[i][j] != 0 for j in range(k)):
             raise ValueError("inconsistent linear system")
-    return v @ z
+    return v @ Matrix(z, k)
 
 
 def quotient_decomposition(L) -> tuple[int, int, int]:
@@ -231,7 +234,7 @@ def quotient_decomposition(L) -> tuple[int, int, int]:
 
     act = L.action
     ident = linalg.identity(L.rank)
-    if not np.array_equal(act @ act @ act, ident):
+    if act @ act @ act != ident:
         raise ValueError("action does not have order 3")
     fixed_rank = linalg.integer_kernel(act - ident).shape[1]
     kernel = linalg.integer_kernel(ident + act + act @ act)

@@ -46,18 +46,19 @@ def test_error_diagnostics_subprocess():
     assert "no consistent spin lift" in result.stderr
 
 
-def test_only_verify_loads_numpy():
+def test_no_subcommand_loads_numpy():
     # a fresh process, so that no earlier test has imported numpy already
     code = (
         "import sys\n"
         "import k3z3\n"
         "from k3z3 import cli\n"
         "for argv in (['classify'], ['dirac', '--mplus', '3', '--mminus', '6'],\n"
-        "             ['gsig', '--mplus', '3', '--mminus', '6'], ['smooth', '--type', 'A1']):\n"
+        "             ['gsig', '--mplus', '3', '--mminus', '6'], ['smooth', '--type', 'A1'],\n"
+        "             ['verify', '--type', 'A1']):\n"
         "    print(argv[0], cli.run(argv)[0], 'numpy' in sys.modules)\n"
-        "print('verify', cli.run(['verify', '--type', 'A1'])[0], 'numpy' in sys.modules)\n"
         "from k3z3 import GLattice, gamma16\n"
         "print(isinstance(gamma16(1), GLattice), all(hasattr(k3z3, n) for n in k3z3.__all__))\n"
+        "print('numpy' in sys.modules)\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -66,8 +67,9 @@ def test_only_verify_loads_numpy():
         "dirac 0 False",
         "gsig 0 False",
         "smooth 0 False",
-        "verify 0 True",
+        "verify 0 False",
         "True True",
+        "False",
         "",
     ]
 
@@ -207,8 +209,8 @@ def test_verify_exit_code_on_tampered_lattice(monkeypatch):
 
     def tampered(t):
         L = original(t)
-        gram = L.gram.copy()
-        gram[0, 0] = gram[0, 0] + 1  # odd diagonal entry
+        gram = L.gram.tolist()
+        gram[0][0] += 1  # odd diagonal entry
         return GLattice(gram, L.action, label="tampered")
 
     monkeypatch.setattr(lattice, "assemble_type_lattice", tampered)

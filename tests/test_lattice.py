@@ -62,13 +62,13 @@ def test_gamma16_verifies_and_decomposes(k):
 @pytest.mark.parametrize("k", range(6))
 def test_gamma16_matches_rational_basis_change(k):
     gram, action = gamma16_by_basis_change(k)
-    assert np.array_equal(gamma16(k).gram, gram)
-    assert np.array_equal(gamma16(k).action, action)
+    assert gamma16(k).gram.tolist() == gram.tolist()
+    assert gamma16(k).action.tolist() == action.tolist()
 
 
 def test_gamma16_is_negative_definite():
     assert signature(gamma16(0).gram) == (0, 16, 0)
-    assert np.array_equal(gamma16(0).action, identity(16))
+    assert gamma16(0).action == identity(16)
 
 
 def test_gamma16_trace_and_fixed_rank():
@@ -141,8 +141,8 @@ def test_verify_lattice_passes_on_construction():
 
 def test_verify_lattice_flags_odd_diagonal():
     L = gamma16(1)
-    gram = L.gram.copy()
-    gram[0, 0] = -3
+    gram = L.gram.tolist()
+    gram[0][0] = -3
     report = verify_lattice(GLattice(gram, L.action, label="tampered"))
     assert not report.even
     assert not report.passed
@@ -167,12 +167,20 @@ def test_glattice_constructor_guards():
         GLattice([[0, 1]], [[0, 1]])
     with pytest.raises(ValueError, match="integer entries"):
         GLattice([[0.5]], [[1]])
+    # numpy integer arrays are accepted and converted to python ints; floats are not
+    L = GLattice(np.array([[0, 1], [1, 0]]), np.array([[1, 0], [0, 1]], dtype=np.int64))
+    assert L.gram == hyperbolic().gram and type(L.action[0][0]) is int
+    assert verify_lattice(L).passed
+    with pytest.raises(ValueError, match="integer entries"):
+        GLattice(np.array([[0.0, 1.0], [1.0, 0.0]]), [[1, 0], [0, 1]])
 
 
 def test_glattice_matrices_are_frozen():
     L = hyperbolic()
-    with pytest.raises(ValueError):
-        L.gram[0, 0] = 7
+    with pytest.raises(TypeError):
+        L.gram[0][0] = 7
+    with pytest.raises(TypeError):
+        L.action[0] = (0, 1)
 
 
 # ---------------------------------------------------------------------------

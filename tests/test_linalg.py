@@ -63,14 +63,14 @@ def test_smith_normal_form_properties():
     rng = random.Random(29)
     for _ in range(40):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
-        a = np.array(random_int_matrix(rng, n, m), dtype=object)
+        a = linalg.Matrix(random_int_matrix(rng, n, m))
         u, d, v = linalg.smith_normal_form(a, check=True)
-        assert np.array_equal(u @ a @ v, d)
-        diag = [int(d[i, i]) for i in range(min(n, m))]
+        assert u @ a @ v == d
+        diag = [d[i][i] for i in range(min(n, m))]
         for i in range(n):
             for j in range(m):
                 if i != j:
-                    assert d[i, j] == 0
+                    assert d[i][j] == 0
         nonzero = [x for x in diag if x]
         assert all(x > 0 for x in nonzero)
         for first, second in zip(nonzero, nonzero[1:]):
@@ -87,7 +87,7 @@ def test_smith_normal_form_properties():
 def test_smith_normal_form_handles_rank_deficiency():
     a = [[2, 4, 6], [1, 2, 3], [3, 6, 9]]
     u, d, v = linalg.smith_normal_form(a, check=True)
-    assert [int(d[i, i]) for i in range(3)] == [1, 0, 0]
+    assert [d[i][i] for i in range(3)] == [1, 0, 0]
 
 
 def test_smith_diagonal_matches_sympy_invariant_factors():
@@ -99,7 +99,7 @@ def test_smith_diagonal_matches_sympy_invariant_factors():
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         a = random_int_matrix(rng, n, m)
         _, d, _ = linalg.smith_normal_form(a)
-        diag = [int(d[i, i]) for i in range(min(n, m))]
+        diag = [d[i][i] for i in range(min(n, m))]
         assert diag == [int(x) for x in invariant_factors(sympy.Matrix(a))]
 
 
@@ -107,9 +107,9 @@ def test_integer_kernel_is_saturated():
     rng = random.Random(31)
     for _ in range(40):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
-        a = np.array(random_int_matrix(rng, n, m, span=4), dtype=object)
+        a = linalg.Matrix(random_int_matrix(rng, n, m, span=4))
         ker = linalg.integer_kernel(a)
-        assert not np.any(a @ ker) if ker.shape[1] else True
+        assert a @ ker == linalg.Matrix([[0] * ker.shape[1]] * n)
         rank = len(elementary_divisors(a))
         assert ker.shape[1] == m - rank
         if ker.shape[1]:
@@ -141,9 +141,14 @@ def test_inertia_examples():
     assert linalg.inertia([[0, 1], [1, 0]]) == (1, 1, 0)
     assert linalg.inertia([[2, 0], [0, -3]]) == (1, 1, 0)
     assert linalg.inertia([[-2, 1], [1, -2]]) == (0, 2, 0)
-    assert linalg.inertia(linalg.zeros(3, 3)) == (0, 0, 3)
+    assert linalg.inertia([[0] * 3] * 3) == (0, 0, 3)
     assert linalg.inertia([[1, 1], [1, 1]]) == (1, 0, 1)
     assert linalg.inertia(np.empty((0, 0), dtype=object)) == (0, 0, 0)
+    assert linalg.inertia(linalg.Matrix([])) == (0, 0, 0)
+    # numpy integers are exact; numpy floats are not
+    assert linalg.inertia(np.array([[2, 0], [0, -3]], dtype=np.int64)) == (1, 1, 0)
+    with pytest.raises(ValueError, match="integer entries"):
+        linalg.inertia(np.array([[2.0, 0.0], [0.0, -3.0]]))
 
 
 def test_inertia_requires_symmetry():
@@ -179,7 +184,7 @@ def test_inertia_accepts_fractions_and_respects_congruence():
             ],
             dtype=object,
         )
-        q = u @ scale
+        q = np.array(u.tolist(), dtype=object) @ scale  # object arrays keep the arithmetic exact
         congruent = q.T @ np.array(base, dtype=object) @ q
         assert linalg.inertia(congruent) == expected
 
@@ -198,6 +203,69 @@ def test_block_diag_and_identity():
     a = linalg.block_diag([[1]], [[2, 0], [0, 3]])
     assert a.tolist() == [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
     assert linalg.identity(3).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def random_sparse_matrix(rng, n, m):
+    """Units, small entries and entries of up to 64 bits, at a random density."""
+    density = rng.random()
+    return [
+        [
+            rng.choice((1, -1, rng.randint(-9, 9), rng.randint(-(2**64), 2**64))) if rng.random() < density else 0
+            for _ in range(m)
+        ]
+        for _ in range(n)
+    ]
+
+
+def matrix_pair(rows, n, m):
+    """The same matrix as a Matrix and as a numpy object array (the oracle)."""
+    return linalg.Matrix(rows, m), np.array(rows, dtype=object).reshape(n, m)
+
+
+def test_matrix_matches_numpy_object_arrays():
+    rng = random.Random(73)
+    orientations = set()
+    for _ in range(300):
+        n, k, m = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a_rows, b_rows, c_rows = (
+            random_sparse_matrix(rng, n, k),
+            random_sparse_matrix(rng, k, m),
+            random_sparse_matrix(rng, n, k),
+        )
+        (a, na), (b, nb), (c, nc) = matrix_pair(a_rows, n, k), matrix_pair(b_rows, k, m), matrix_pair(c_rows, n, k)
+        nonzeros = [sum(x != 0 for row in rows for x in row) for rows in (a_rows, b_rows)]
+        orientations.add(nonzeros[1] < nonzeros[0])
+        for got, want in ((a @ b, na @ nb), (a + c, na + nc), (a - c, na - nc), (a.T, na.T), (a, na)):
+            assert got.shape == want.shape
+            assert got.tolist() == want.tolist()
+        assert a.T.T == a
+        assert (a @ b).T == b.T @ a.T
+    assert orientations == {False, True}  # products ran in both orientations
+
+
+def test_matrix_shape_mismatches_raise():
+    rng = random.Random(79)
+    for _ in range(100):
+        n, k, k2, m = (rng.randint(0, 3) for _ in range(4))
+        a = linalg.Matrix(random_int_matrix(rng, n, k), k)
+        b = linalg.Matrix(random_int_matrix(rng, k2, m), m)
+        if k != k2:
+            with pytest.raises(ValueError, match="shape mismatch"):
+                a @ b
+        if (n, k) != (k2, m):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                a + b
+            with pytest.raises(ValueError, match="shape mismatch"):
+                a - b
+
+
+def test_matrix_is_immutable():
+    a = linalg.Matrix([[1, 2], [3, 4]])
+    with pytest.raises(TypeError):
+        a[0][1] = 7
+    with pytest.raises(TypeError):
+        a[0] = (0, 0)
+    assert a == linalg.Matrix([[1, 2], [3, 4]]) and a != a.T
 
 
 def test_smith_normal_form_check_survives_optimized_mode():

@@ -30,7 +30,7 @@ def modules(draw):
 @given(modules())
 def test_decomposition_recovered_under_basis_change(module):
     a, b, c, seed = module
-    action = linalg.zeros(0, 0)
+    action = linalg.Matrix([])
     for block, count in zip(BLOCKS, (a, b, c)):
         for _ in range(count):
             action = linalg.block_diag(action, block)
