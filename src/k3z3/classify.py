@@ -8,22 +8,19 @@ them together with their cohomological invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from .fixed_data import FixedPointData, g_signature_of_data
 
 
-@dataclass(frozen=True)
-class SurfaceConstants:
+class SurfaceConstants(
+    namedtuple("SurfaceConstants", "euler sign b2 b_plus b_minus", defaults=(24, -16, 22, 3, 19))
+):
     """Topological constants of the K3 surface."""
 
-    euler: int = 24
-    sign: int = -16
-    b2: int = 22
-    b_plus: int = 3
-    b_minus: int = 19
+    __slots__ = ()
 
 
 K3 = SurfaceConstants()
@@ -49,21 +46,18 @@ def admissible_differences() -> list[int]:
     return [d for d in range(-24, 25) if d % 9 == 6]
 
 
-@dataclass(frozen=True)
-class ActionType:
+class ActionType(
+    namedtuple(
+        "ActionType",
+        "name fixed_count m_plus m_minus b2_G bplus_G bminus_G sign_quotient euler_quotient",
+    )
+):
     """One admissible action type with its quotient invariants."""
 
-    name: str
-    fixed_count: int
-    m_plus: int
-    m_minus: int
-    b2_G: int
-    bplus_G: int
-    bminus_G: int
-    sign_quotient: int
-    euler_quotient: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         consistent = (
             self.fixed_count == self.m_plus + self.m_minus
             and self.b2_G == self.bplus_G + self.bminus_G
@@ -73,6 +67,7 @@ class ActionType:
         )
         if not consistent:
             raise ValueError("inconsistent action type record")
+        return self
 
     @property
     def data(self) -> FixedPointData:

@@ -2,8 +2,9 @@
 
 Every subcommand is a pure function of its flags: repeated invocations
 produce byte-identical output.  Exit codes: 0 on success, 1 when a
-verification check fails, 2 on malformed input (with a one-line
-diagnostic on stderr).
+verification check fails, 2 on malformed input and 3 on an internal
+error such as a failed self-check (2 and 3 with a one-line diagnostic
+on stderr).
 """
 
 from __future__ import annotations
@@ -301,6 +302,9 @@ def run(argv=None) -> tuple[int, str]:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""
+    except Exception as exc:  # a bug or a failed self-check, not the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3, ""
 
 
 def main(argv=None) -> int:

@@ -9,20 +9,23 @@ these numbers lives in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True, eq=False)
 class Cyclotomic:
-    """x + y*zeta with exact rational components."""
+    """x + y*zeta with exact rational components; immutable."""
 
-    x: Fraction
-    y: Fraction = Fraction(0)
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+    def __init__(self, x, y=0):
+        object.__setattr__(self, "x", Fraction(x))
+        object.__setattr__(self, "y", Fraction(y))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __add__(self, other):
         other = _coerce(other)
@@ -96,10 +99,6 @@ class Cyclotomic:
     def conjugate(self) -> "Cyclotomic":
         """Galois substitution zeta -> zeta^2; an involution fixing rationals."""
         return Cyclotomic(self.x - self.y, -self.y)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.y == 0
 
     def as_rational(self) -> Fraction:
         """The value as a Fraction; raises if the zeta component is nonzero."""

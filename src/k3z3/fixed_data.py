@@ -11,7 +11,7 @@ depends only on how many fixed points carry each type.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -20,6 +20,8 @@ from .cyclotomic import Cyclotomic, half_power, zeta_power
 
 # 2 + trace on rank-22 middle cohomology cannot exceed 24
 LEFSCHETZ_BOUND = 24
+# index of the Dirac operator on K3: -Sign/8 = 2
+DIRAC_INDEX = 2
 
 
 class FixedPointType(Enum):
@@ -64,18 +66,18 @@ def spin_defect(t: FixedPointType) -> Cyclotomic:
     return (fa * fb).inverse()
 
 
-@dataclass(frozen=True)
-class FixedPointData:
+class FixedPointData(namedtuple("FixedPointData", "m_plus m_minus")):
     """Counts of fixed points of each local type."""
 
-    m_plus: int
-    m_minus: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.m_plus < 0 or self.m_minus < 0:
             raise ValueError("fixed point counts must be nonnegative")
         if self.m_plus + self.m_minus > LEFSCHETZ_BOUND:
             raise ValueError(f"at most {LEFSCHETZ_BOUND} fixed points are possible")
+        return self
 
     @property
     def total(self) -> int:
@@ -133,52 +135,47 @@ def g_signature_of_data(d: FixedPointData) -> Fraction:
     return d.m_plus * plus + d.m_minus * minus
 
 
-@dataclass(frozen=True)
-class DiracIndex:
+class DiracIndex(namedtuple("DiracIndex", "k0 k1 k2")):
     """Multiplicities (k0, k1, k2) of the weight-j summands of the equivariant index.
 
     For rank-22 data built here k0 + k1 + k2 = 2 and k1 = k2; negative
     entries are legitimate (virtual multiplicities).
     """
 
-    k0: int
-    k1: int
-    k2: int
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.k0, self.k1, self.k2)
+        return tuple(self)
 
     @property
     def total(self) -> int:
-        return self.k0 + self.k1 + self.k2
+        return sum(self)
 
 
-def dirac_coefficients(d: FixedPointData, ind1: int = 2) -> DiracIndex:
+def dirac_coefficients(d: FixedPointData) -> DiracIndex:
     """Equivariant Dirac index multiplicities from the fixed-point data.
 
-    The three Lefschetz numbers of the index are ind1 (default 2, the
+    The three Lefschetz numbers of the index are DIRAC_INDEX (2, the
     non-equivariant value for K3), the spin defect sum, and its Galois
     conjugate; Fourier inversion over {1, g, g^2} recovers the k_j.
-    With ind1 = 2 the k_j are integers exactly when
-    m_plus - m_minus = 6 mod 9.
+    They are integers exactly when m_plus - m_minus = 6 mod 9.
     """
     ind_g = d.m_plus * spin_defect(FixedPointType.PLUS) + d.m_minus * spin_defect(
         FixedPointType.MINUS
     )
     ind_gg = ind_g.conjugate()
-    ind_1 = Cyclotomic(ind1)
+    ind_1 = Cyclotomic(DIRAC_INDEX)
     ks = []
     for j in range(3):
         kj = (ind_1 + zeta_power(-j) * ind_g + zeta_power(-2 * j) * ind_gg) / 3
         val = kj.as_rational()
         if val.denominator != 1:
-            hint = ": m+ - m- != 6 (mod 9)" if ind1 == 2 else ""
-            raise ValueError("fixed data admits no consistent spin lift" + hint)
+            raise ValueError("fixed data admits no consistent spin lift: m+ - m- != 6 (mod 9)")
         ks.append(int(val))
     k = DiracIndex(*ks)
     # exact re-substitution into the three defining equations
     if not (
-        k.total == ind1
+        k.total == DIRAC_INDEX
         and k.k1 == k.k2
         and k.k0 + zeta_power(1) * k.k1 + zeta_power(2) * k.k2 == ind_g
         and k.k0 + zeta_power(2) * k.k1 + zeta_power(4) * k.k2 == ind_gg

@@ -11,7 +11,7 @@ Lefschetz fixed-point count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import linalg
@@ -20,27 +20,35 @@ from .fixed_data import FixedPointData, g_signature_of_data
 from .linalg import Matrix
 
 
-@dataclass(frozen=True, eq=False)
 class GLattice:
     """Integral lattice with bilinear form `gram` and candidate isometry `action`.
 
     The constructor enforces only shape and integrality; the defining
     properties (symmetry, unimodularity, evenness, isometry, order 3)
     are audited by verify_lattice so that deliberately broken inputs
-    can still be constructed and examined.
+    can still be constructed and examined.  Instances are immutable and
+    compare by identity, which is what the caches below are keyed on.
     """
 
-    gram: Matrix
-    action: Matrix
-    label: str = "lattice"
+    __slots__ = ("gram", "action", "label")
 
-    def __post_init__(self):
-        gram, action = linalg.int_rows(self.gram), linalg.int_rows(self.action)
+    def __init__(self, gram, action, label: str = "lattice"):
+        gram, action = linalg.int_rows(gram), linalg.int_rows(action)
         n = len(gram)
         if len(action) != n or any(len(row) != n for row in gram + action):
             raise ValueError("gram and action must be square matrices of equal size")
         object.__setattr__(self, "gram", Matrix(gram))
         object.__setattr__(self, "action", Matrix(action))
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"GLattice(gram={self.gram!r}, action={self.action!r}, label={self.label!r})"
 
     @property
     def rank(self) -> int:
@@ -51,8 +59,7 @@ class GLattice:
         return sum(row[i] for i, row in enumerate(self.action))
 
 
-@dataclass(frozen=True)
-class ModuleDecomposition:
+class ModuleDecomposition(namedtuple("ModuleDecomposition", "a b c")):
     """Multiplicities of the indecomposable integral modules of a 3-cycle.
 
     a counts trivial rank-1 summands, b the rank-2 summands on which the
@@ -60,12 +67,10 @@ class ModuleDecomposition:
     rank-3 summands.
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
+        return tuple(self)
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +186,12 @@ def direct_sum(lhs: GLattice, rhs: GLattice, label: str | None = None) -> GLatti
 # invariants
 
 
-@dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(
+    namedtuple("LatticeReport", "label rank det symmetric unimodular even isometry order3 notes")
+):
     """Outcome of the structural audit of a GLattice."""
 
-    label: str
-    rank: int
-    det: int
-    symmetric: bool
-    unimodular: bool
-    even: bool
-    isometry: bool
-    order3: bool
-    notes: tuple[str, ...]
+    __slots__ = ()
 
     def checks(self) -> tuple[tuple[str, bool], ...]:
         return (
@@ -212,10 +210,10 @@ class LatticeReport:
 TORSION_NOTE = "torsion condition skipped: redundant for order-3 actions"
 
 
-# Every cache below keeps a few lattices.  GLattice compares by identity
-# (eq=False), so an entry is keyed on one object, which the cache keeps
-# alive while the entry lasts; what is handed out is immutable.  One
-# verification reads each entry several times (the record, then the checks).
+# Every cache below keeps a few lattices.  GLattice compares by identity,
+# so an entry is keyed on one object, which the cache keeps alive while the
+# entry lasts; what is handed out is immutable.  One verification reads each
+# entry several times (the record, then the checks).
 @lru_cache(maxsize=8)
 def verify_lattice(L: GLattice) -> LatticeReport:
     """Audit the defining properties; failures are report entries, not errors."""

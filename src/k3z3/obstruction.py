@@ -9,7 +9,7 @@ that invariant is known to be +-1, such an action cannot be smooth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from math import gcd
 
@@ -23,8 +23,7 @@ class Smoothability(Enum):
     NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(namedtuple("SurfaceModel", "kind p q", defaults=(1, 1))):
     """A smooth structure on (a manifold homeomorphic to) K3.
 
     kind "standard_k3" is the standard smooth structure.  kind "e2pq"
@@ -33,15 +32,15 @@ class SurfaceModel:
     exactly when gcd(p, q) = 1.
     """
 
-    kind: str
-    p: int = 1
-    q: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("standard_k3", "e2pq"):
             raise ValueError(f"unknown surface kind {self.kind!r}")
         if self.p < 1 or self.q < 1:
             raise ValueError("fiber multiplicities must be positive")
+        return self
 
     @staticmethod
     def standard() -> "SurfaceModel":
@@ -57,30 +56,22 @@ class SurfaceModel:
         return f"E(2)_{{{self.p},{self.q}}}"
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(
+    namedtuple("ObstructionVerdict", "status reasons k trivial_on_Hplus all_small sw_fact")
+):
     """Smoothability verdict with one reason line per hypothesis tested."""
 
-    status: Smoothability
-    reasons: tuple[str, ...]
-    k: DiracIndex
-    trivial_on_Hplus: bool
-    all_small: bool
-    sw_fact: bool
+    __slots__ = ()
 
 
-def fang_hypotheses(
-    t: ActionType, k: DiracIndex, b_plus: int = K3.b_plus
-) -> tuple[bool, bool]:
+def fang_hypotheses(t: ActionType, k: DiracIndex) -> tuple[bool, bool]:
     """The two action-side hypotheses of the mod-3 vanishing theorem.
 
-    Returns (action trivial on H+, all 2*k_j <= b_plus - 1).  The
-    theorem needs b+ >= 2 to begin with.
+    Returns (action trivial on H+, all 2*k_j <= b+ - 1).  The theorem
+    also needs b+ >= 2, which holds on K3 (b+ = 3).
     """
-    if b_plus < 2:
-        raise ValueError("Fang's theorem hypothesis violated: b+ >= 2 is required")
-    trivial = t.bplus_G == b_plus
-    small = all(2 * kj <= b_plus - 1 for kj in k.as_tuple())
+    trivial = t.bplus_G == K3.b_plus
+    small = all(2 * kj <= K3.b_plus - 1 for kj in k)
     return trivial, small
 
 

@@ -47,31 +47,58 @@ def test_error_diagnostics_subprocess():
 
 
 def test_no_subcommand_loads_numpy():
-    # a fresh process, so that no earlier test has imported numpy already
+    # a fresh process, so that no earlier test has imported these already;
+    # dataclasses pulls in inspect, ast, dis and tokenize at every start-up
     code = (
         "import sys\n"
         "import k3z3\n"
         "from k3z3 import cli\n"
+        "unwanted = ('numpy', 'dataclasses', 'inspect')\n"
         "for argv in (['classify'], ['dirac', '--mplus', '3', '--mminus', '6'],\n"
         "             ['gsig', '--mplus', '3', '--mminus', '6'], ['smooth', '--type', 'A1'],\n"
         "             ['verify', '--type', 'A1']):\n"
-        "    print(argv[0], cli.run(argv)[0], 'numpy' in sys.modules)\n"
+        "    print(argv[0], cli.run(argv)[0], [m for m in unwanted if m in sys.modules])\n"
         "from k3z3 import GLattice, gamma16\n"
         "print(isinstance(gamma16(1), GLattice), all(hasattr(k3z3, n) for n in k3z3.__all__))\n"
-        "print('numpy' in sys.modules)\n"
+        "print([m for m in unwanted if m in sys.modules])\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split("\n") == [
-        "classify 0 False",
-        "dirac 0 False",
-        "gsig 0 False",
-        "smooth 0 False",
-        "verify 0 False",
+        "classify 0 []",
+        "dirac 0 []",
+        "gsig 0 []",
+        "smooth 0 []",
+        "verify 0 []",
         "True True",
-        "False",
+        "[]",
         "",
     ]
+
+
+def _raise_internal(*args):
+    raise ArithmeticError("planted fault")
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "dirac_coefficients", _raise_internal)
+    assert run_cli("dirac", "--mplus", "3", "--mminus", "6") == (3, "")
+    assert capsys.readouterr().err == "internal error: ArithmeticError: planted fault\n"
+
+
+def test_internal_error_exit_code_subprocess():
+    code = (
+        "import sys\n"
+        "from k3z3 import cli\n"
+        "def fault(*args):\n"
+        "    raise ArithmeticError('planted fault')\n"
+        "cli.dirac_coefficients = fault\n"
+        "sys.exit(cli.main(['dirac', '--mplus', '3', '--mminus', '6']))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == "internal error: ArithmeticError: planted fault\n"
 
 
 def test_classify_text_is_golden():

@@ -131,15 +131,8 @@ def test_dirac_succeeds_exactly_on_the_mod9_class():
             if (m_plus - m_minus) % 9 == 6:
                 dirac_coefficients(d)
             else:
-                with pytest.raises(ValueError, match="no consistent spin lift"):
+                with pytest.raises(ValueError, match=r"spin lift: m\+ - m- != 6 \(mod 9\)$"):
                     dirac_coefficients(d)
-
-
-def test_dirac_with_non_default_index():
-    assert dirac_coefficients(FixedPointData(6, 0), ind1=5).as_tuple() == (3, 1, 1)
-    with pytest.raises(ValueError) as err:
-        dirac_coefficients(FixedPointData(6, 0), ind1=1)
-    assert "mod 9" not in str(err.value)  # the mod-9 hint is specific to ind1 = 2
 
 
 def test_dirac_index_type():

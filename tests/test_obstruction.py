@@ -34,8 +34,6 @@ def test_fang_hypotheses_examples():
     assert fang_hypotheses(a1, DiracIndex(0, 1, 1)) == (True, True)
     assert fang_hypotheses(a0, DiracIndex(2, 0, 0)) == (True, False)
     assert fang_hypotheses(b, dirac_coefficients(b.data))[0] is False
-    with pytest.raises(ValueError, match="b\\+ >= 2"):
-        fang_hypotheses(a1, DiracIndex(0, 1, 1), b_plus=1)
 
 
 def test_sw_fact_examples():
