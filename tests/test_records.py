@@ -17,24 +17,19 @@ from k3z3 import (
 )
 
 
-def _one_of_each():
-    """One instance of each record class, with the name of one of its fields."""
-    L = hyperbolic()
-    return [
-        (K3, "b_plus"),
-        (action_type("A1"), "m_plus"),
-        (FixedPointData(3, 6), "m_minus"),
-        (DiracIndex(0, 1, 1), "k0"),
-        (ModuleDecomposition(3, 0, 1), "c"),
-        (verify_lattice(L), "det"),
-        (SurfaceModel.elliptic(3, 7), "p"),
-        (verdict(action_type("A1"), SurfaceModel.standard()), "status"),
-        (L, "gram"),
-        (Cyclotomic(1, 2), "y"),
-    ]
-
-
-RECORDS = _one_of_each()
+# one instance of each record class, with the name of one of its fields
+RECORDS = [
+    (K3, "b_plus"),
+    (action_type("A1"), "m_plus"),
+    (FixedPointData(3, 6), "m_minus"),
+    (DiracIndex(0, 1, 1), "k0"),
+    (ModuleDecomposition(3, 0, 1), "c"),
+    (verify_lattice(hyperbolic()), "det"),
+    (SurfaceModel.elliptic(3, 7), "p"),
+    (verdict(action_type("A1"), SurfaceModel.standard()), "status"),
+    (hyperbolic(), "gram"),
+    (Cyclotomic(1, 2), "y"),
+]
 
 
 @pytest.mark.parametrize("record, field", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
