@@ -55,6 +55,7 @@ class ActionType(
     """One admissible action type with its quotient invariants."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace runs the checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

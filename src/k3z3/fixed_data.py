@@ -70,6 +70,7 @@ class FixedPointData(namedtuple("FixedPointData", "m_plus m_minus")):
     """Counts of fixed points of each local type."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace runs the checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

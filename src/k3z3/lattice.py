@@ -232,7 +232,6 @@ def verify_lattice(L: GLattice) -> LatticeReport:
     )
 
 
-@lru_cache(maxsize=8)
 def fixed_sublattice(L: GLattice) -> tuple[Matrix, Matrix]:
     """Basis of the invariant sublattice and the form restricted to it.
 
@@ -245,7 +244,7 @@ def fixed_sublattice(L: GLattice) -> tuple[Matrix, Matrix]:
 
 
 def signature(mat) -> tuple[int, int, int]:
-    """Inertia (pos, neg, null) of a symmetric matrix with exact entries."""
+    """Inertia (pos, neg, null) of a symmetric matrix with integer entries."""
     return linalg.inertia(mat)
 
 
@@ -262,21 +261,20 @@ _ORDER_ERROR = "action has order != 3 or internal bug"
 def module_decomposition(L: GLattice) -> ModuleDecomposition:
     """Split the action module as a*Z + b*Z[zeta] + c*Z[G].
 
-    With f the fixed rank and r the rank of g - 1 over F_3,
-    b = 2f - 2 tr(g) - r, a = tr(g) + b and c = f - a: by Reiner's
-    classification these three summands are the only indecomposable
-    integral representations of the cyclic group of order 3, and they
-    contribute (1, -1, 0) to the trace, (1, 0, 1) to f and (0, 1, 2) to r.
+    By Reiner, these three are the only indecomposable integral
+    representations of the cyclic group of order 3; they add (1, 2, 3)
+    to the rank n, (1, -1, 0) to tr(g) and (0, 1, 2) to r, the rank of
+    g - 1 over F_3.  So there are b + c = (n - tr(g))/3 rotation planes,
+    c = r - (b + c) and a = tr(g) + b.
     """
     if not verify_lattice(L).order3:
         raise ValueError(_ORDER_ERROR)
-    n = L.rank
     trace = L.trace
-    fixed_rank = fixed_sublattice(L)[0].shape[1]
-    b = 2 * fixed_rank - 2 * trace - linalg.rank_mod3(L.action - linalg.identity(n))
+    planes = (L.rank - trace) // 3
+    c = linalg.rank_mod3(L.action - linalg.identity(L.rank)) - planes
+    b = planes - c
     a = trace + b
-    c = fixed_rank - a
-    if a < 0 or b < 0 or c < 0 or a + 2 * b + 3 * c != n:
+    if a < 0 or b < 0 or c < 0:
         raise ValueError(_ORDER_ERROR)
     return ModuleDecomposition(a, b, c)
 

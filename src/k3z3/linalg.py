@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the integers and rationals.
+"""Exact dense linear algebra over the integers.
 
 Every matrix handled here is small (rank <= 22), so the code favours
 exactness and auditability over asymptotics: determinants use
@@ -7,19 +7,18 @@ through the Smith normal form, ranks mod 3 through elimination over
 F_3, and the inertia of a symmetric form is obtained by fraction-free
 symmetric congruence elimination.
 
-Each kernel takes nested sequences (a `Matrix` among them) and converts
-it once, straight to fresh rows of python ints (`int_rows`; `inertia`
-also clears Fractions), which it then reduces in place.  Matrices that
-are kept or handed back (the GLattice forms, the Smith form and integer
-kernels) are `Matrix` values: immutable, exact, and with only the
-arithmetic the callers use.  No floating point enters at any stage.
+Each kernel takes an integer matrix as nested sequences (a `Matrix`
+among them) and converts it once, straight to fresh rows of python ints
+(`int_rows`), which it then reduces in place.  Matrices that are kept
+or handed back (the GLattice forms, the Smith form and integer kernels)
+are `Matrix` values: immutable, exact, and with only the arithmetic the
+callers use.  No floating point enters at any stage.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
 from operator import add, index, mul, sub
 
 
@@ -94,17 +93,6 @@ def _row_products(a, b, m: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _rows(a) -> list[list]:
-    """Fresh row lists of a 2-D matrix given as nested sequences."""
-    try:
-        rows = [list(row) for row in a]
-    except TypeError:
-        raise ValueError("expected a 2-D matrix") from None
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("expected a rectangular 2-D matrix")
-    return rows
-
-
 def _as_int(x) -> int:
     if isinstance(x, Fraction):
         if x.denominator != 1:
@@ -121,9 +109,14 @@ def int_rows(a) -> list[list[int]]:
     """Validated fresh copy of an integer matrix as rows of python ints.
 
     Integral Fractions become ints; any other entry that is not an
-    integer raises ValueError.
+    integer raises ValueError, as does a ragged or non-2-D matrix.
     """
-    rows = _rows(a)
+    try:
+        rows = [list(row) for row in a]
+    except TypeError:
+        raise ValueError("expected a 2-D matrix") from None
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("expected a rectangular 2-D matrix")
     for row in rows:
         for x in row:
             # an exact type test first: isinstance on Fraction goes through
@@ -194,17 +187,15 @@ def _add_col(m, dst, src, factor):
         row[dst] += factor * row[src]
 
 
-def smith_normal_form(a, check: bool = False):
+def smith_normal_form(a):
     """Diagonalize an integer matrix: U @ a @ V == D with U, V unimodular.
 
     The nonzero diagonal entries of D are positive and each divides the
-    next.  With check=True the defining identities are re-verified
-    before returning (useful in tests, skipped on hot paths).
+    next.
     """
     d = int_rows(a)
     n = len(d)
     m = len(d[0]) if n else 0
-    given = Matrix(d, m) if check else None
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     v = [[int(i == j) for j in range(m)] for i in range(m)]
     t = 0
@@ -271,13 +262,7 @@ def smith_normal_form(a, check: bool = False):
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    umat, dmat, vmat = Matrix(u, n), Matrix(d, m), Matrix(v, m)
-    if check:
-        if umat @ given @ vmat != dmat:
-            raise ArithmeticError("Smith form check failed: U @ a @ V != D")
-        if abs(bareiss_determinant(umat)) != 1 or abs(bareiss_determinant(vmat)) != 1:
-            raise ArithmeticError("Smith form check failed: U or V is not unimodular")
-    return umat, dmat, vmat
+    return Matrix(u, n), Matrix(d, m), Matrix(v, m)
 
 
 def integer_kernel(a) -> Matrix:
@@ -312,31 +297,17 @@ def rank_mod3(a) -> int:
 
 
 def inertia(a) -> tuple[int, int, int]:
-    """Inertia (pos, neg, null) of a symmetric matrix with exact entries.
+    """Inertia (pos, neg, null) of a symmetric matrix with integer entries.
 
-    Fractions are cleared first (scaling the form by a positive integer
-    does not move eigenvalue signs), then the form is reduced by
-    fraction-free symmetric elimination; the sign of each exact pivot
-    is the sign of the product of consecutive Bareiss pivots.  A block
-    with an all-zero diagonal gets a pivot manufactured by a symmetric
-    row-and-column addition.
+    The form is reduced by fraction-free symmetric elimination; the sign
+    of each exact pivot is the sign of the product of consecutive
+    Bareiss pivots.  A block with an all-zero diagonal gets a pivot
+    manufactured by a symmetric row-and-column addition.
     """
-    rows = _rows(a)
-    n = len(rows)
-    if any(len(row) != n for row in rows) or [list(col) for col in zip(*rows)] != rows:
+    s = int_rows(a)
+    n = len(s)
+    if any(len(row) != n for row in s) or [list(col) for col in zip(*s)] != s:
         raise ValueError("inertia needs a symmetric matrix")
-    mixed = False
-    for row in rows:
-        for x in row:
-            if type(x) is not int:
-                # Fractions stay; other integer types become python ints
-                row[:] = [y if isinstance(y, Fraction) else _as_int(y) for y in row]
-                mixed = True
-                break
-    s = rows
-    if mixed:
-        den = lcm(*(x.denominator for row in rows for x in row))
-        s = [[int(x * den) for x in row] for row in rows]
     pos = neg = null = 0
     prev = 1
     t = 0

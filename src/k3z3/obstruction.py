@@ -33,6 +33,7 @@ class SurfaceModel(namedtuple("SurfaceModel", "kind p q", defaults=(1, 1))):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace runs the checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -4,12 +4,19 @@ Most tests drive the in-process entry point cli.run (the subprocess
 boundary is exercised once for the module and once for error output).
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from k3z3 import cli, lattice
+from k3z3.classify import action_type
 from k3z3.lattice import GLattice
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 CLASSIFY_TEXT = """Type  #X^G  m+  m-  b2^G  b+^G  b-^G  Sign(X/G)
 A0       6   6   0    10     3     7         -4
@@ -229,6 +236,79 @@ def test_verify_record_runs_one_smith_form(monkeypatch):
         calls.update(dict.fromkeys(budget, 0))
         assert cli._verification_record(t, L)["_passed"]
         assert calls == budget, t.name
+
+
+def _a1_bumped(field):
+    """The forms of the A1 model, with entry (0, 0) of `field` raised by 1."""
+    L = lattice.assemble_type_lattice(action_type("A1"))
+    rows = getattr(L, field).tolist()
+    rows[0][0] += 1
+    return {"gram": L.gram, "action": L.action, field: rows}
+
+
+# records of lattices that fail the audit, as computed with the fixed
+# signature taken from the Smith-form kernel of g - 1; another route to the
+# fixed signature must keep these bytes
+FAILING = {
+    "A1_action_entry_plus_one": (
+        _a1_bumped("action"),
+        {
+            "type": "A1", "rank": 22, "det": -1, "even": True, "isometry": False, "order3": False,
+            "signature": [3, 19], "fixed_signature": [2, 8], "decomposition": None,
+            "rep": False, "gsf": False, "lefschetz": False,
+            "_symmetric": True, "_unimodular": True, "_passed": False,
+        },
+    ),
+    "rot4": (
+        {"gram": [[1, 0], [0, 1]], "action": [[0, -1], [1, 0]]},
+        {
+            "type": "A1", "rank": 2, "det": 1, "even": False, "isometry": True, "order3": False,
+            "signature": [2, 0], "fixed_signature": [0, 0], "decomposition": None,
+            "rep": False, "gsf": False, "lefschetz": False,
+            "_symmetric": True, "_unimodular": True, "_passed": False,
+        },
+    ),
+    "swap_on_diag_2_minus_2": (
+        {"gram": [[2, 0], [0, -2]], "action": [[0, 1], [1, 0]]},
+        {
+            "type": "A1", "rank": 2, "det": -4, "even": True, "isometry": False, "order3": False,
+            "signature": [1, 1], "fixed_signature": [0, 0], "decomposition": None,
+            "rep": False, "gsf": False, "lefschetz": False,
+            "_symmetric": True, "_unimodular": False, "_passed": False,
+        },
+    ),
+    "A1_odd_gram_corner": (
+        _a1_bumped("gram"),
+        {
+            "type": "A1", "rank": 22, "det": -1, "even": False, "isometry": True, "order3": True,
+            "signature": [3, 19], "fixed_signature": [3, 9], "decomposition": {"a": 7, "b": 0, "c": 5},
+            "rep": True, "gsf": True, "lefschetz": True,
+            "_symmetric": True, "_unimodular": True, "_passed": False,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FAILING)
+def test_failing_lattice_records_are_pinned(name):
+    forms, want = FAILING[name]
+    rec = cli._verification_record(action_type("A1"), GLattice(**forms, label=name))
+    assert rec == {**want, "_label": name}
+
+
+def test_every_bench_call_matches_the_expected_output(capsys):
+    # perfbench/common.py holds the calls and the checker; read it in place
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        mp.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("perfbench_common", PERFBENCH / "common.py")
+        common = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(common)
+    assert len(common.CALLS) == 23
+    for key, (argv, _) in common.CALLS.items():
+        code, out = cli.run(list(argv))
+        err = capsys.readouterr().err
+        assert common.check_cli(key, code, out, err) is None, key
 
 
 def test_verify_exit_code_on_tampered_lattice(monkeypatch):

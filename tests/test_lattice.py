@@ -217,6 +217,28 @@ def test_module_decomposition_rejects_wrong_order():
         check_gsf(rot4, FixedPointData(3, 6))
 
 
+def test_module_decomposition_runs_no_smith_form(monkeypatch):
+    from k3z3 import linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("module_decomposition reached the Smith form")
+
+    monkeypatch.setattr(linalg, "integer_kernel", forbidden)
+    monkeypatch.setattr(linalg, "smith_normal_form", forbidden)
+    for t in enumerate_action_types():
+        L = assemble_type_lattice(t)  # fresh, so nothing is memoized for it
+        assert module_decomposition(L).as_tuple() == (t.fixed_count - 2, 0, (24 - t.fixed_count) // 3)
+    assert module_decomposition(hexagonal_plane()).as_tuple() == (0, 1, 0)
+
+
+def test_module_decomposition_matches_fixed_rank_on_models():
+    # the fixed rank a + c, against the saturated kernel of g - 1
+    for t in enumerate_action_types():
+        L = assemble_type_lattice(t)
+        dec = module_decomposition(L)
+        assert dec.a + dec.c == fixed_sublattice(L)[0].shape[1] == t.b2_G
+
+
 def test_g_signature_of_assemblies():
     values = {"A0": 2, "A1": -1, "A2": -4, "B": -1}
     for t in enumerate_action_types():

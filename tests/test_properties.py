@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from k3z3 import GLattice, linalg, module_decomposition  # noqa: E402
+from k3z3 import GLattice, fixed_sublattice, linalg, module_decomposition  # noqa: E402
 
 from _oracles import quotient_decomposition, random_unimodular_pair  # noqa: E402
 
@@ -38,4 +38,5 @@ def test_decomposition_recovered_under_basis_change(module):
     u, uinv = random_unimodular_pair(random.Random(seed), n, steps=3 * n)
     M = GLattice(linalg.identity(n), uinv @ action @ u)
     assert module_decomposition(M).as_tuple() == (a, b, c)
+    assert fixed_sublattice(M)[0].shape[1] == a + c
     assert quotient_decomposition(M) == (a, b, c)

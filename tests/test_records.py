@@ -42,6 +42,23 @@ def test_record_fields_cannot_be_assigned_or_deleted(record, field):
     assert getattr(record, field) is before
 
 
+# the records whose constructor checks its fields, with one invalid change each
+VALIDATED = [
+    (action_type("A1"), {"m_plus": 4}),
+    (FixedPointData(3, 6), {"m_plus": -1}),
+    (SurfaceModel.elliptic(3, 7), {"p": 0}),
+]
+
+
+@pytest.mark.parametrize("record, change", VALIDATED, ids=[type(r).__name__ for r, _ in VALIDATED])
+def test_replace_runs_the_constructor_checks(record, change):
+    with pytest.raises(ValueError):
+        record._replace(**change)
+    with pytest.raises(ValueError):
+        type(record)._make({**record._asdict(), **change}.values())
+    assert record._replace() == record and type(record._replace()) is type(record)
+
+
 def test_glattice_compares_by_identity():
     h = hyperbolic()
     one = GLattice(h.gram, h.action, label="one")
