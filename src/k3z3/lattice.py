@@ -187,9 +187,13 @@ def direct_sum(lhs: GLattice, rhs: GLattice, label: str | None = None) -> GLatti
 
 
 class LatticeReport(
-    namedtuple("LatticeReport", "label rank det symmetric unimodular even isometry order3 notes")
+    namedtuple("LatticeReport", "label rank det signature symmetric unimodular even isometry order3 notes")
 ):
-    """Outcome of the structural audit of a GLattice."""
+    """Outcome of the structural audit of a GLattice.
+
+    `signature` is the inertia (pos, neg, null) of the form, or None when
+    the form is not symmetric.
+    """
 
     __slots__ = ()
 
@@ -218,12 +222,18 @@ TORSION_NOTE = "torsion condition skipped: redundant for order-3 actions"
 def verify_lattice(L: GLattice) -> LatticeReport:
     """Audit the defining properties; failures are report entries, not errors."""
     g, a = L.gram, L.action
-    det = linalg.bareiss_determinant(g)
+    symmetric = g == g.T
+    if symmetric:
+        # one symmetric elimination gives both the inertia and the determinant
+        sig, det = linalg.inertia_and_determinant(g)
+    else:
+        sig, det = None, linalg.bareiss_determinant(g)
     return LatticeReport(
         label=L.label,
         rank=L.rank,
         det=det,
-        symmetric=g == g.T,
+        signature=sig,
+        symmetric=symmetric,
         unimodular=abs(det) == 1,
         even=all(row[i] % 2 == 0 for i, row in enumerate(g)),
         isometry=a.T @ g @ a == g,
@@ -233,13 +243,15 @@ def verify_lattice(L: GLattice) -> LatticeReport:
 
 
 def fixed_sublattice(L: GLattice) -> tuple[Matrix, Matrix]:
-    """Basis of the invariant sublattice and the form restricted to it.
+    """Basis of a full-rank sublattice of the invariant lattice, and the form on it.
 
-    The kernel of (action - 1) over Z comes out of the Smith normal
-    form, hence is saturated: its rank equals the real fixed rank.
-    Expects a lattice that passes verify_lattice.
+    The basis is a rational kernel of (action - 1): its columns span the
+    fixed space over Q, so their number is the fixed rank and, by
+    Sylvester's law, the inertia of the restricted form is that of the
+    form on the invariant lattice.  The sublattice need not be saturated,
+    so its determinant may differ from the invariant lattice's.
     """
-    basis = linalg.integer_kernel(L.action - linalg.identity(L.rank))
+    basis = linalg.rational_kernel(L.action - linalg.identity(L.rank))
     return basis, basis.T @ L.gram @ basis
 
 
@@ -250,8 +262,15 @@ def signature(mat) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=8)
 def signatures(L: GLattice) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Inertia of the form and of the form restricted to the fixed sublattice."""
-    return signature(L.gram), signature(fixed_sublattice(L)[1])
+    """Inertia of the form and of the form restricted to the fixed sublattice.
+
+    The form's inertia comes from the audit; raises ValueError when the
+    form is not symmetric.
+    """
+    sig = verify_lattice(L).signature
+    if sig is None:
+        raise ValueError("inertia needs a symmetric matrix")
+    return sig, signature(fixed_sublattice(L)[1])
 
 
 _ORDER_ERROR = "action has order != 3 or internal bug"

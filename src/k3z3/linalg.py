@@ -2,15 +2,16 @@
 
 Every matrix handled here is small (rank <= 22), so the code favours
 exactness and auditability over asymptotics: determinants use
-fraction-free (Bareiss) elimination, saturated integer kernels go
-through the Smith normal form, ranks mod 3 through elimination over
-F_3, and the inertia of a symmetric form is obtained by fraction-free
-symmetric congruence elimination.
+fraction-free (Bareiss) elimination, rational kernels gcd-scaled
+elimination, saturated integer kernels the Smith normal form, ranks
+mod 3 elimination over F_3, and the inertia of a symmetric form, with
+its determinant, fraction-free symmetric congruence elimination.  The
+package itself runs no Smith form; it stays as a reference kernel.
 
 Each kernel takes an integer matrix as nested sequences (a `Matrix`
 among them) and converts it once, straight to fresh rows of python ints
 (`int_rows`), which it then reduces in place.  Matrices that are kept
-or handed back (the GLattice forms, the Smith form and integer kernels)
+or handed back (the GLattice forms, the Smith form and the kernels)
 are `Matrix` values: immutable, exact, and with only the arithmetic the
 callers use.  No floating point enters at any stage.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
+from math import gcd
 from operator import add, index, mul, sub
 
 
@@ -277,6 +279,39 @@ def integer_kernel(a) -> Matrix:
     return Matrix([[row[j] for j in free] for row in v], len(free))
 
 
+def rational_kernel(a) -> Matrix:
+    """Primitive integer columns spanning the kernel of `a` over Q.
+
+    Each column of `a`, with its unit vector appended, is reduced against
+    the rows kept so far by gcd-scaled elimination; a row whose first
+    part vanishes holds an integer relation among the columns, that is,
+    a kernel vector.  The relations are triangular in the unit vectors,
+    hence independent.  They span a full-rank sublattice of the integer
+    kernel, which need not be saturated.
+    """
+    rows = int_rows(a)
+    n, m = len(rows), len(rows[0]) if rows else 0
+    kept = []  # (pivot column, reduced row)
+    kernel = []
+    for k, col in enumerate(zip(*rows)):
+        r = [*col, *(int(j == k) for j in range(m))]
+        for piv, krow in kept:
+            x = r[piv]
+            if x:
+                g = gcd(krow[piv], x)
+                p, x = krow[piv] // g, x // g
+                r = [p * u - x * v for u, v in zip(r, krow)]
+        content = gcd(*r)
+        if content > 1:
+            r = [u // content for u in r]
+        piv = next((j for j in range(n) if r[j]), None)
+        if piv is None:
+            kernel.append(r[n:])
+        else:
+            kept.append((piv, r))
+    return Matrix(kernel, m).T
+
+
 def rank_mod3(a) -> int:
     """Rank over F_3 of an integer matrix, by Gaussian elimination mod 3."""
     rows = [[x % 3 for x in row] for row in int_rows(a)]
@@ -297,12 +332,19 @@ def rank_mod3(a) -> int:
 
 
 def inertia(a) -> tuple[int, int, int]:
-    """Inertia (pos, neg, null) of a symmetric matrix with integer entries.
+    """Inertia (pos, neg, null) of a symmetric matrix with integer entries."""
+    return inertia_and_determinant(a)[0]
+
+
+def inertia_and_determinant(a) -> tuple[tuple[int, int, int], int]:
+    """Inertia (pos, neg, null) and determinant of a symmetric integer matrix.
 
     The form is reduced by fraction-free symmetric elimination; the sign
     of each exact pivot is the sign of the product of consecutive
     Bareiss pivots.  A block with an all-zero diagonal gets a pivot
-    manufactured by a symmetric row-and-column addition.
+    manufactured by a symmetric row-and-column addition.  Every step is
+    a congruence by a unimodular matrix, so the determinant is the last
+    Bareiss pivot, or 0 when the form is degenerate.
     """
     s = int_rows(a)
     n = len(s)
@@ -348,7 +390,7 @@ def inertia(a) -> tuple[int, int, int]:
                 row_i[j] = (row_i[j] * p - sit * row_t[j]) // prev
         prev = p
         t += 1
-    return pos, neg, null
+    return (pos, neg, null), 0 if null else prev
 
 
 def _sym_swap(s, i, j, start):

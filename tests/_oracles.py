@@ -5,11 +5,13 @@ values are recomputed in complex floating point straight from their
 defining formulas, admissible rows are re-derived from the raw
 integrality constraints, determinants fall back to cofactor expansion,
 and the Gamma16 models are rebuilt by an explicit change of basis over
-Q.  The one exception is the module decomposition, recounted from a
-finite quotient through the package's Smith normal form: a different
-route to (a, b, c) than the package's rank mod 3.  The exact code is
-then required to agree.  Basis changes multiply the package's `Matrix`
-values, whose arithmetic test_linalg checks against numpy object arrays.
+Q.  The exceptions go through the package's Smith normal form: the
+module decomposition, recounted from a finite quotient (a different
+route to (a, b, c) than the package's rank mod 3), and the saturated
+invariant lattice (a different route to the fixed form than the
+package's rational kernel).  The exact code is then required to agree.
+Basis changes multiply the package's `Matrix` values, whose arithmetic
+test_linalg checks against numpy object arrays.
 """
 
 from __future__ import annotations
@@ -247,3 +249,12 @@ def quotient_decomposition(L) -> tuple[int, int, int]:
         b = divisors.count(3)
     a = L.trace + b
     return a, b, fixed_rank - a
+
+
+def saturated_fixed_sublattice(L) -> tuple[Matrix, Matrix]:
+    """Basis of the invariant lattice, saturated through the Smith normal
+    form, and the form restricted to it."""
+    from k3z3 import linalg
+
+    basis = linalg.integer_kernel(L.action - linalg.identity(L.rank))
+    return basis, basis.T @ L.gram @ basis

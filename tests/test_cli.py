@@ -6,6 +6,7 @@ boundary is exercised once for the module and once for error output).
 
 import importlib.util
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -214,13 +215,9 @@ def test_verify_text_report():
     assert "torsion condition skipped" in out
 
 
-def test_verify_record_runs_one_smith_form(monkeypatch):
-    # the kernel budget of one record; each form and the order-3 product are
-    # computed once per lattice, however often the checks ask for them
-    from k3z3 import classify, linalg
-
-    budget = {"smith_normal_form": 1, "bareiss_determinant": 1, "inertia": 2, "rank_mod3": 1}
-    calls = dict.fromkeys(budget, 0)
+def _count_calls(monkeypatch, module, names) -> dict:
+    """Count the calls made through the named module attributes."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -229,13 +226,87 @@ def test_verify_record_runs_one_smith_form(monkeypatch):
 
         return wrapper
 
-    for name in budget:
-        monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_verify_record_kernel_budget(monkeypatch):
+    # the kernel budget of one record: two symmetric eliminations (the form,
+    # which also gives the determinant, and the fixed form), one rational
+    # kernel and one rank mod 3; each is computed once per lattice, however
+    # often the checks ask for it
+    from k3z3 import classify, linalg
+
+    budget = {
+        "smith_normal_form": 0,
+        "integer_kernel": 0,
+        "bareiss_determinant": 0,
+        "inertia_and_determinant": 2,
+        "rational_kernel": 1,
+        "rank_mod3": 1,
+    }
+    calls = _count_calls(monkeypatch, linalg, budget)
     for t in classify.enumerate_action_types():
         L = lattice.assemble_type_lattice(t)  # fresh, so nothing is memoized for it
         calls.update(dict.fromkeys(budget, 0))
         assert cli._verification_record(t, L)["_passed"]
         assert calls == budget, t.name
+
+
+@pytest.fixture(scope="module")
+def bench_common():
+    """perfbench/common.py, read in place without writing bytecode."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        mp.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("perfbench_common", PERFBENCH / "common.py")
+        common = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(common)
+    return common
+
+
+def test_verify_record_reaches_every_traced_name(bench_common, monkeypatch):
+    # the benchmark times these functions by name, as module attributes; a
+    # record that stops calling one loses that per-layer metric
+    from k3z3 import classify, linalg
+
+    calls = _count_calls(monkeypatch, lattice, bench_common.LATTICE_CALLS)
+    for t in classify.enumerate_action_types():
+        L = lattice.assemble_type_lattice(t)
+        calls.update(dict.fromkeys(calls, 0))
+        assert cli._verification_record(t, L)["_passed"]
+        assert all(calls.values()), (t.name, calls)
+    assert {"signature", "fixed_sublattice"} <= set(calls)
+    for name in bench_common.LINALG_PASS:
+        assert name == "matmul3" or callable(getattr(linalg, name, None)), name
+
+
+def test_deep_records_match_the_smith_kernel_route(bench_common, monkeypatch):
+    # 128-step basis changes of each model and one perturbed input: the
+    # fixed form from the rational kernel gives the record that the
+    # saturated Smith-form kernel gives
+    from k3z3 import classify, linalg
+
+    from _oracles import saturated_fixed_sublattice
+
+    rng = random.Random(128)
+    inputs = []
+    for t in classify.enumerate_action_types():
+        L = lattice.assemble_type_lattice(t)
+        gram, action = L.gram.tolist(), L.action.tolist()
+        bench_common._congruence(gram, action, rng, 128)
+        inputs.append((t, gram, action))
+    t, gram, action = inputs[-1]
+    action = [row[:] for row in action]
+    action[rng.randrange(22)][rng.randrange(22)] += rng.choice((-1, 1))
+    inputs.append((t, gram, action))
+    records = [cli._verification_record(t, GLattice(gram, action)) for t, gram, action in inputs]
+    assert [rec["order3"] for rec in records] == [True] * 4 + [False]
+    monkeypatch.setattr(lattice, "fixed_sublattice", saturated_fixed_sublattice)
+    for rec, (t, gram, action) in zip(records, inputs):
+        assert rec == cli._verification_record(t, GLattice(gram, action))  # fresh, so recomputed
+        assert rec["det"] == linalg.bareiss_determinant(gram)
 
 
 def _a1_bumped(field):
@@ -286,6 +357,16 @@ FAILING = {
             "_symmetric": True, "_unimodular": True, "_passed": False,
         },
     ),
+    # the only records whose determinant comes from Bareiss elimination
+    "non_symmetric_gram": (
+        {"gram": [[0, 1], [2, 0]], "action": [[0, -1], [1, -1]]},
+        {
+            "type": "A1", "rank": 2, "det": -2, "even": True, "isometry": False, "order3": True,
+            "signature": None, "fixed_signature": None, "decomposition": {"a": 0, "b": 1, "c": 0},
+            "rep": False, "gsf": False, "lefschetz": False,
+            "_symmetric": False, "_unimodular": False, "_passed": False,
+        },
+    ),
 }
 
 
@@ -296,19 +377,13 @@ def test_failing_lattice_records_are_pinned(name):
     assert rec == {**want, "_label": name}
 
 
-def test_every_bench_call_matches_the_expected_output(capsys):
-    # perfbench/common.py holds the calls and the checker; read it in place
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(PERFBENCH))
-        mp.setattr(sys, "dont_write_bytecode", True)
-        spec = importlib.util.spec_from_file_location("perfbench_common", PERFBENCH / "common.py")
-        common = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(common)
-    assert len(common.CALLS) == 23
-    for key, (argv, _) in common.CALLS.items():
+def test_every_bench_call_matches_the_expected_output(bench_common, capsys):
+    # perfbench/common.py holds the calls and the checker
+    assert len(bench_common.CALLS) == 23
+    for key, (argv, _) in bench_common.CALLS.items():
         code, out = cli.run(list(argv))
         err = capsys.readouterr().err
-        assert common.check_cli(key, code, out, err) is None, key
+        assert bench_common.check_cli(key, code, out, err) is None, key
 
 
 def test_verify_exit_code_on_tampered_lattice(monkeypatch):

@@ -29,7 +29,7 @@ from k3z3 import (
 from k3z3.lattice import TORSION_NOTE
 from k3z3.linalg import bareiss_determinant, identity
 
-from _oracles import gamma16_by_basis_change, transformed
+from _oracles import gamma16_by_basis_change, saturated_fixed_sublattice, transformed
 
 
 def hexagonal_plane() -> GLattice:
@@ -90,6 +90,12 @@ def test_three_h_perm():
     basis, restricted = fixed_sublattice(L)
     assert basis.shape[1] == 2
     assert signature(restricted) == (1, 1, 0)
+    assert bareiss_determinant(restricted) == -9
+
+
+def test_saturated_fixed_lattice_of_three_h_perm():
+    # the invariant lattice of 3H(cyclic) is the diagonal H(3), det -9
+    _, restricted = saturated_fixed_sublattice(three_h_perm())
     assert bareiss_determinant(restricted) == -9
 
 

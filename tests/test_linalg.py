@@ -1,5 +1,6 @@
 """Exact matrix kernels against independent oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -118,6 +119,37 @@ def test_integer_kernel_is_saturated():
             assert elementary_divisors(ker) == [1] * ker.shape[1]
 
 
+def test_rational_kernel_examples():
+    assert linalg.rational_kernel([[1, 2, 3], [2, 4, 6]]) == linalg.Matrix([[-2, -3], [1, 0], [0, 1]])
+    assert linalg.rational_kernel([[0, 0, 0]]) == linalg.identity(3)
+    assert linalg.rational_kernel([[1, 2], [3, 4]]).shape == (2, 0)
+    # primitive columns of index 2 in the integer kernel, which holds their
+    # half-sum (0, 1, 1): not saturated
+    assert linalg.rational_kernel([[2, -1, 1]]) == linalg.Matrix([[1, -1], [2, 0], [0, 2]])
+    assert linalg.rational_kernel([]).shape == (0, 0)
+    assert linalg.rational_kernel([[], []]).shape == (0, 0)
+    with pytest.raises(ValueError, match="integer entries"):
+        linalg.rational_kernel([[Fraction(1, 3)]])
+
+
+def test_rational_kernel_matches_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(37)
+    for trial in range(60):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        if trial % 2:
+            # rank-deficient: a product through a narrower inner dimension
+            r = rng.randint(0, min(n, m) - 1)
+            left = linalg.Matrix(random_int_matrix(rng, n, r, span=3), r)
+            a = left @ linalg.Matrix(random_int_matrix(rng, r, m, span=3), m)
+        else:
+            a = linalg.Matrix(random_int_matrix(rng, n, m, span=4))
+        ker = linalg.rational_kernel(a)
+        assert ker.shape == (m, len(sympy.Matrix(a.tolist()).nullspace()))
+        assert a @ ker == linalg.Matrix([[0] * ker.shape[1]] * n, ker.shape[1])
+        assert all(math.gcd(*col) == 1 for col in ker.T)
+
+
 def test_rank_mod3_examples():
     assert linalg.rank_mod3([]) == 0
     assert linalg.rank_mod3([[3, 6], [9, -3]]) == 0
@@ -150,6 +182,39 @@ def test_inertia_examples():
     assert linalg.inertia(np.array([[2, 0], [0, -3]], dtype=np.int64)) == (1, 1, 0)
     with pytest.raises(ValueError, match="integer entries"):
         linalg.inertia(np.array([[2.0, 0.0], [0.0, -3.0]]))
+
+
+def test_inertia_and_determinant_examples():
+    assert linalg.inertia_and_determinant([[0, 1], [1, 0]]) == ((1, 1, 0), -1)
+    assert linalg.inertia_and_determinant([[2, 1], [1, -2]]) == ((1, 1, 0), -5)
+    assert linalg.inertia_and_determinant([[1, 1], [1, 1]]) == ((1, 0, 1), 0)
+    assert linalg.inertia_and_determinant([]) == ((0, 0, 0), 1)
+    with pytest.raises(ValueError, match="symmetric"):
+        linalg.inertia_and_determinant([[0, 1], [2, 0]])
+
+
+def test_inertia_and_determinant_match_bareiss_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(59)
+    for trial in range(80):
+        n = rng.randint(1, 7)
+        if trial % 2:
+            # singular: x^T d x with x of rank below n and d a diagonal of signs
+            r = rng.randint(0, n - 1)
+            x = linalg.Matrix(random_int_matrix(rng, r, n, span=3), n)
+            d = linalg.Matrix([[rng.choice((1, -1)) if i == j else 0 for j in range(r)] for i in range(r)], r)
+            sym = (x.T @ d @ x).tolist()
+        else:
+            m = random_int_matrix(rng, n, n, span=3)
+            sym = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+        if trial % 3 == 0:
+            # an all-zero diagonal makes the elimination manufacture its pivots
+            for i in range(n):
+                sym[i][i] = 0
+        sig, det = linalg.inertia_and_determinant(sym)
+        assert det == linalg.bareiss_determinant(sym) == sympy.Matrix(sym).det()
+        assert sig == linalg.inertia(sym)
+        assert (sig[2] > 0) == (det == 0)
 
 
 def test_inertia_requires_symmetry():
