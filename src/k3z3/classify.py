@@ -12,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .fixed_data import FixedPointData, g_signature_of_data
+from .fixed_data import FixedPointData, FixedPointType, signature_defect
 
 
 class SurfaceConstants(
@@ -26,15 +26,41 @@ class SurfaceConstants(
 K3 = SurfaceConstants()
 
 
+def _thrice_defects() -> tuple[int, int]:
+    """3 d+ and 3 d-: thrice the signature defects of the two local types.
+
+    Each defect lies in Z/3 (d+ = 1/3, d- = -1/3), so both are integers;
+    anything else is a bug and raises ArithmeticError.
+    """
+    out = []
+    for t in (FixedPointType.PLUS, FixedPointType.MINUS):
+        x = 3 * signature_defect(t).as_rational()
+        if x.denominator != 1:
+            raise ArithmeticError(f"signature defect of type {t.name} is not in Z/3: {x / 3}")
+        out.append(x.numerator)
+    return tuple(out)
+
+
+def _scaled_invariants(m_plus: int, m_minus: int, thrice_defects: tuple[int, int]) -> tuple[int, int]:
+    """3 chi(X/G) and 9 Sign(X/G), integers at every point of the grid.
+
+    From chi(X/G) = (chi(X) + 2 #fixed)/3 and Sign(X/G) = (Sign(X) +
+    2 Sign(g))/3, with Sign(g) = m+ d+ + m- d-.
+    """
+    d_plus, d_minus = thrice_defects
+    euler3 = K3.euler + 2 * (m_plus + m_minus)
+    sign9 = 3 * K3.sign + 2 * (m_plus * d_plus + m_minus * d_minus)
+    return euler3, sign9
+
+
 def quotient_invariants(d: FixedPointData) -> tuple[Fraction, Fraction]:
     """Euler number and signature of the orbit space, exactly.
 
     chi(X/G) = (chi(X) + 2 #fixed)/3 and Sign(X/G) = (Sign(X) + 2 Sign(g))/3.
     Neither value is assumed integral; callers filter on that.
     """
-    euler = Fraction(K3.euler + 2 * d.total, 3)
-    sign = (K3.sign + 2 * g_signature_of_data(d)) / 3
-    return euler, sign
+    euler3, sign9 = _scaled_invariants(d.m_plus, d.m_minus, _thrice_defects())
+    return Fraction(euler3, 3), Fraction(sign9, 9)
 
 
 def admissible_differences() -> list[int]:
@@ -78,14 +104,15 @@ class ActionType(
 @lru_cache(maxsize=None)
 def _enumerate() -> tuple[ActionType, ...]:
     bound = K3.b2 + 2
+    defects = _thrice_defects()
     survivors = []
+    # the whole grid, on integers: chi(X/G) and Sign(X/G) must be integral
     for m_plus in range(bound + 1):
         for m_minus in range(bound + 1 - m_plus):
-            d = FixedPointData(m_plus, m_minus)
-            euler_q, sign_q = quotient_invariants(d)
-            if euler_q.denominator != 1 or sign_q.denominator != 1:
+            euler3, sign9 = _scaled_invariants(m_plus, m_minus, defects)
+            if euler3 % 3 or sign9 % 9:
                 continue
-            euler, sign = euler_q.numerator, sign_q.numerator
+            euler, sign = euler3 // 3, sign9 // 9
             b2 = euler - 2  # the orbit space is simply connected
             if (b2 + sign) % 2:
                 continue

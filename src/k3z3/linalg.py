@@ -13,12 +13,14 @@ among them) and converts it once, straight to fresh rows of python ints
 (`int_rows`), which it then reduces in place.  Matrices that are kept
 or handed back (the GLattice forms, the Smith form and the kernels)
 are `Matrix` values: immutable, exact, and with only the arithmetic the
-callers use.  No floating point enters at any stage.
+callers use.  Being immutable, `identity(n)` is built once per n and
+shared by every caller.  No floating point enters at any stage.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from math import gcd
 from operator import add, index, mul, sub
@@ -30,14 +32,21 @@ class Matrix(tuple):
     `rows` are taken as given, so they should come from `int_rows` or
     from another Matrix; `ncols` is read only when there are no rows.
     Supports `@`, `+`, `-`, `.T`, `.shape` and `.tolist()`.  `==` is
-    tuple equality (so any two matrices without rows are equal), and
-    item assignment raises TypeError.
+    tuple equality (so any two matrices without rows are equal), item
+    assignment raises TypeError and attribute assignment AttributeError,
+    so one value can be shared, as `identity` shares its results.
     """
 
     def __new__(cls, rows, ncols: int = 0):
         self = super().__new__(cls, map(tuple, rows))
-        self.shape = (len(self), len(self[0]) if self else ncols)
+        object.__setattr__(self, "shape", (len(self), len(self[0]) if self else ncols))
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def T(self) -> Matrix:
@@ -129,15 +138,24 @@ def int_rows(a) -> list[list[int]]:
     return rows
 
 
+def _ncols(a, rows) -> int:
+    """Column count of `a`, given `rows = int_rows(a)`; a Matrix keeps it without rows."""
+    if rows:
+        return len(rows[0])
+    return a.shape[1] if isinstance(a, Matrix) else 0
+
+
+@lru_cache(maxsize=None)
 def identity(n: int) -> Matrix:
+    """The n x n identity, built once per n and shared (Matrix is immutable)."""
     return Matrix([[int(i == j) for j in range(n)] for i in range(n)], n)
 
 
 def block_diag(a, b) -> Matrix:
     """Block-diagonal join of two matrices."""
-    a, b = int_rows(a), int_rows(b)
-    na, nb = len(a[0]) if a else 0, len(b[0]) if b else 0
-    return Matrix([row + [0] * nb for row in a] + [[0] * na + row for row in b], na + nb)
+    ra, rb = int_rows(a), int_rows(b)
+    na, nb = _ncols(a, ra), _ncols(b, rb)
+    return Matrix([row + [0] * nb for row in ra] + [[0] * na + row for row in rb], na + nb)
 
 
 def bareiss_determinant(a) -> int:
@@ -197,7 +215,7 @@ def smith_normal_form(a):
     """
     d = int_rows(a)
     n = len(d)
-    m = len(d[0]) if n else 0
+    m = _ncols(a, d)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     v = [[int(i == j) for j in range(m)] for i in range(m)]
     t = 0
@@ -290,10 +308,10 @@ def rational_kernel(a) -> Matrix:
     kernel, which need not be saturated.
     """
     rows = int_rows(a)
-    n, m = len(rows), len(rows[0]) if rows else 0
+    n, m = len(rows), _ncols(a, rows)
     kept = []  # (pivot column, reduced row)
     kernel = []
-    for k, col in enumerate(zip(*rows)):
+    for k, col in enumerate(zip(*rows) if n else repeat((), m)):
         r = [*col, *(int(j == k) for j in range(m))]
         for piv, krow in kept:
             x = r[piv]

@@ -7,11 +7,15 @@ import pytest
 from k3z3 import (
     K3,
     ActionType,
+    Cyclotomic,
     FixedPointData,
     action_type,
     admissible_differences,
+    classify,
     dirac_coefficients,
     enumerate_action_types,
+    fixed_data,
+    g_signature_of_data,
     quotient_invariants,
 )
 
@@ -35,6 +39,53 @@ EXPECTED_ROWS = [
 )
 def test_quotient_invariants(m_plus, m_minus, expected):
     assert quotient_invariants(FixedPointData(m_plus, m_minus)) == expected
+
+
+def test_scaled_invariants_match_the_fraction_formulas():
+    # the Fraction route, written out: chi(X/G) = (24 + 2 #X^G)/3 and
+    # Sign(X/G) = (-16 + 2 Sign(g))/3, at every point of the grid
+    defects = classify._thrice_defects()
+    assert defects == (1, -1)
+    points = 0
+    for m_plus in range(25):
+        for m_minus in range(25 - m_plus):
+            d = FixedPointData(m_plus, m_minus)
+            euler = Fraction(24 + 2 * d.total, 3)
+            sign = (-16 + 2 * g_signature_of_data(d)) / 3
+            assert classify._scaled_invariants(m_plus, m_minus, defects) == (3 * euler, 9 * sign)
+            assert quotient_invariants(d) == (euler, sign)
+            points += 1
+    assert points == 325
+
+
+@pytest.fixture
+def cold_sweep():
+    classify._enumerate.cache_clear()
+    yield
+    classify._enumerate.cache_clear()
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the sweep left the integer route")
+
+
+def test_sweep_runs_on_integers(cold_sweep, monkeypatch):
+    for module, name in [
+        (classify, "quotient_invariants"),
+        (classify, "FixedPointData"),
+        (classify, "Fraction"),
+        (fixed_data, "g_signature_of_data"),
+    ]:
+        monkeypatch.setattr(module, name, _forbidden)
+    rows = classify._enumerate()
+    assert [tuple(t) for t in rows] == EXPECTED_ROWS
+    assert all(type(x) is int for t in rows for x in t[1:])
+
+
+def test_sweep_self_check_rejects_a_defect_outside_z3(cold_sweep, monkeypatch):
+    monkeypatch.setattr(classify, "signature_defect", lambda t: Cyclotomic(Fraction(1, 9)))
+    with pytest.raises(ArithmeticError, match="not in Z/3"):
+        classify._enumerate()
 
 
 def test_admissible_differences():

@@ -132,6 +132,16 @@ def test_rational_kernel_examples():
         linalg.rational_kernel([[Fraction(1, 3)]])
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_kernels_of_a_matrix_without_rows(k):
+    # a 0 x k Matrix keeps its column count, and its kernel is all of Q^k
+    a = linalg.Matrix([], k)
+    assert a.shape == (0, k)
+    assert linalg.rational_kernel(a) == linalg.identity(k)
+    assert linalg.integer_kernel(a) == linalg.identity(k)
+    assert linalg.rank_mod3(a) == 0
+
+
 def test_rational_kernel_matches_sympy_nullspace():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(37)
@@ -265,6 +275,22 @@ def test_block_diag_and_identity():
     a = linalg.block_diag([[1]], [[2, 0], [0, 3]])
     assert a.tolist() == [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
     assert linalg.identity(3).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert linalg.block_diag(linalg.Matrix([], 2), [[1]]).tolist() == [[0, 0, 1]]
+
+
+def test_identity_is_shared_and_immutable():
+    ident = linalg.identity(22)
+    assert linalg.identity(22) is ident
+    with pytest.raises(AttributeError):
+        ident.shape = (1, 1)
+    with pytest.raises(AttributeError):
+        del ident.shape
+    a = linalg.Matrix(random_int_matrix(random.Random(59), 22, 22))
+    assert a - ident == linalg.Matrix([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)])
+    assert a @ ident == a
+    assert ident @ a == a
+    assert ident == linalg.Matrix([[int(i == j) for j in range(22)] for i in range(22)])
+    assert ident.shape == (22, 22)
 
 
 def random_sparse_matrix(rng, n, m):
