@@ -3,7 +3,8 @@
 The package enumerates the admissible fixed-point configurations,
 builds explicit even unimodular rank-22 lattice models with order-3
 isometries realizing them, and evaluates the equivariant index data
-behind the mod-3 smoothability obstruction.  All arithmetic is exact.
+behind the mod-3 smoothability obstruction, in closed forms.  All
+arithmetic is exact; Q(zeta) in `k3z3.cyclotomic` is the tests' oracle.
 """
 
 from .classify import (
@@ -15,7 +16,6 @@ from .classify import (
     enumerate_action_types,
     quotient_invariants,
 )
-from .cyclotomic import ONE, ZERO, ZETA, Cyclotomic, half_power, zeta_power
 from .fixed_data import (
     DiracIndex,
     FixedPointData,
@@ -24,8 +24,6 @@ from .fixed_data import (
     g_signature_of_data,
     normalize_type,
     parse_fixed_data,
-    signature_defect,
-    spin_defect,
 )
 from .lattice import (
     GLattice,
@@ -65,12 +63,6 @@ __all__ = [
     "admissible_differences",
     "enumerate_action_types",
     "quotient_invariants",
-    "ONE",
-    "ZERO",
-    "ZETA",
-    "Cyclotomic",
-    "half_power",
-    "zeta_power",
     "DiracIndex",
     "FixedPointData",
     "FixedPointType",
@@ -78,8 +70,6 @@ __all__ = [
     "g_signature_of_data",
     "normalize_type",
     "parse_fixed_data",
-    "signature_defect",
-    "spin_defect",
     "GLattice",
     "LatticeReport",
     "ModuleDecomposition",

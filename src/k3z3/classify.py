@@ -9,10 +9,13 @@ them together with their cohomological invariants.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .fixed_data import FixedPointData, FixedPointType, signature_defect
+from .fixed_data import FixedPointData
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class SurfaceConstants(
@@ -26,30 +29,14 @@ class SurfaceConstants(
 K3 = SurfaceConstants()
 
 
-def _thrice_defects() -> tuple[int, int]:
-    """3 d+ and 3 d-: thrice the signature defects of the two local types.
-
-    Each defect lies in Z/3 (d+ = 1/3, d- = -1/3), so both are integers;
-    anything else is a bug and raises ArithmeticError.
-    """
-    out = []
-    for t in (FixedPointType.PLUS, FixedPointType.MINUS):
-        x = 3 * signature_defect(t).as_rational()
-        if x.denominator != 1:
-            raise ArithmeticError(f"signature defect of type {t.name} is not in Z/3: {x / 3}")
-        out.append(x.numerator)
-    return tuple(out)
-
-
-def _scaled_invariants(m_plus: int, m_minus: int, thrice_defects: tuple[int, int]) -> tuple[int, int]:
+def _scaled_invariants(m_plus: int, m_minus: int) -> tuple[int, int]:
     """3 chi(X/G) and 9 Sign(X/G), integers at every point of the grid.
 
     From chi(X/G) = (chi(X) + 2 #fixed)/3 and Sign(X/G) = (Sign(X) +
-    2 Sign(g))/3, with Sign(g) = m+ d+ + m- d-.
+    2 Sign(g))/3, with Sign(g) = (m+ - m-)/3.
     """
-    d_plus, d_minus = thrice_defects
     euler3 = K3.euler + 2 * (m_plus + m_minus)
-    sign9 = 3 * K3.sign + 2 * (m_plus * d_plus + m_minus * d_minus)
+    sign9 = 3 * K3.sign + 2 * (m_plus - m_minus)
     return euler3, sign9
 
 
@@ -59,7 +46,9 @@ def quotient_invariants(d: FixedPointData) -> tuple[Fraction, Fraction]:
     chi(X/G) = (chi(X) + 2 #fixed)/3 and Sign(X/G) = (Sign(X) + 2 Sign(g))/3.
     Neither value is assumed integral; callers filter on that.
     """
-    euler3, sign9 = _scaled_invariants(d.m_plus, d.m_minus, _thrice_defects())
+    from fractions import Fraction  # only a library caller pays for the import
+
+    euler3, sign9 = _scaled_invariants(d.m_plus, d.m_minus)
     return Fraction(euler3, 3), Fraction(sign9, 9)
 
 
@@ -104,29 +93,25 @@ class ActionType(
 @lru_cache(maxsize=None)
 def _enumerate() -> tuple[ActionType, ...]:
     bound = K3.b2 + 2
-    defects = _thrice_defects()
     survivors = []
     # the whole grid, on integers: chi(X/G) and Sign(X/G) must be integral
     for m_plus in range(bound + 1):
         for m_minus in range(bound + 1 - m_plus):
-            euler3, sign9 = _scaled_invariants(m_plus, m_minus, defects)
+            euler3, sign9 = _scaled_invariants(m_plus, m_minus)
             if euler3 % 3 or sign9 % 9:
                 continue
             euler, sign = euler3 // 3, sign9 // 9
             b2 = euler - 2  # the orbit space is simply connected
-            if (b2 + sign) % 2:
-                continue
             bplus = (b2 + sign) // 2
             bminus = (b2 - sign) // 2
             if not (0 <= bplus <= K3.b_plus and 0 <= bminus <= K3.b_minus):
                 continue
-            # the non-fixed cohomology splits into rank-2 rotation planes
-            if (K3.b_plus - bplus) % 2 or (K3.b_minus - bminus) % 2:
-                continue
-            # each feasible fixed rank on the positive cone pins a linear
-            # relation between the counts
-            if 2 * m_plus + m_minus != {1: 3, 3: 12}[bplus]:
-                continue
+            # The paper's other conditions follow.  Integrality means
+            # T = m+ + m- = 3t and D = m+ - m- = 9s + 6, so b2 + Sign =
+            # 2(t + s + 1) is even, and T = D mod 2 gives t = s mod 2: b+ =
+            # t + s + 1 and b- = 5 + t - s are odd (the non-fixed parts split
+            # into rotation planes), so b+ is 1 or 3 and 2m+ + m- = (3T + D)/2
+            # = (9(b+ - 1) + 6)/2 is 3 or 12 (the fixed-rank relations).
             survivors.append((m_plus, m_minus, b2, bplus, bminus, sign, euler))
     survivors.sort(key=lambda row: (-row[3], -row[0]))
     if [row[3] for row in survivors] != [3, 3, 3, 1]:

@@ -14,14 +14,7 @@ import json
 import sys
 
 from . import classify, lattice, obstruction
-from .fixed_data import (
-    FixedPointData,
-    FixedPointType,
-    dirac_coefficients,
-    g_signature_of_data,
-    parse_fixed_data,
-    signature_defect,
-)
+from .fixed_data import FixedPointData, dirac_coefficients, parse_fixed_data
 
 TYPE_NAMES = ("A0", "A1", "A2", "B")
 
@@ -213,6 +206,12 @@ def _cmd_smooth(args) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
+def _thirds(n: int) -> str:
+    """n/3 in lowest terms, written as str(Fraction(n, 3)) writes it."""
+    q, r = divmod(n, 3)
+    return f"{n}/3" if r else str(q)
+
+
 def _cmd_gsig(args) -> tuple[int, str]:
     by_counts = args.mplus is not None or args.mminus is not None
     if args.data is not None and by_counts:
@@ -223,17 +222,16 @@ def _cmd_gsig(args) -> tuple[int, str]:
         data = FixedPointData(args.mplus, args.mminus)
     else:
         raise ValueError("need --data or both --mplus and --mminus")
-    plus = signature_defect(FixedPointType.PLUS)
-    minus = signature_defect(FixedPointType.MINUS)
-    value = g_signature_of_data(data)
+    plus, minus = f"{_thirds(1)} + 0*z3", f"{_thirds(-1)} + 0*z3"
+    value = _thirds(data.difference)
     if args.format == "json":
         return 0, _dumps(
             {
                 "m_plus": data.m_plus,
                 "m_minus": data.m_minus,
-                "defect_plus": str(plus),
-                "defect_minus": str(minus),
-                "g_signature": str(value),
+                "defect_plus": plus,
+                "defect_minus": minus,
+                "g_signature": value,
             }
         )
     return 0, (

@@ -3,9 +3,9 @@
 A pseudofree action fixes finitely many points; at each one the local
 model is a complex rotation with weights (a, b) mod 3, both nonzero,
 well defined up to swapping the pair and negating both entries.  That
-leaves exactly two local types, and every aggregate computed here
-(g-signature, spin defect sum, equivariant Dirac multiplicities)
-depends only on how many fixed points carry each type.
+leaves exactly two local types.  A (+) point adds 1/3 and a (-) point
+-1/3 to both the g-signature and the spin defect, so the g-signature
+and the equivariant Dirac multiplicities are closed forms in m+ - m-.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
-from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .cyclotomic import Cyclotomic, half_power, zeta_power
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # 2 + trace on rank-22 middle cohomology cannot exceed 24
 LEFSCHETZ_BOUND = 24
@@ -30,10 +30,6 @@ class FixedPointType(Enum):
     PLUS = (1, 2)
     MINUS = (1, 1)
 
-    @property
-    def weights(self) -> tuple[int, int]:
-        return self.value
-
 
 def normalize_type(a: int, b: int) -> FixedPointType:
     """Classify local weights (a, b), invariant under swap and joint negation."""
@@ -41,29 +37,6 @@ def normalize_type(a: int, b: int) -> FixedPointType:
     if ra == 0 or rb == 0:
         raise ValueError("action is not pseudofree at this point: weight = 0 mod 3")
     return FixedPointType.MINUS if ra == rb else FixedPointType.PLUS
-
-
-@lru_cache(maxsize=None)
-def signature_defect(t: FixedPointType) -> Cyclotomic:
-    """g-signature summand (z^a+1)(z^b+1) / ((z^a-1)(z^b-1)) for the type's weights."""
-    a, b = t.weights
-    num = (zeta_power(a) + 1) * (zeta_power(b) + 1)
-    den = (zeta_power(a) - 1) * (zeta_power(b) - 1)
-    return num / den
-
-
-@lru_cache(maxsize=None)
-def spin_defect(t: FixedPointType) -> Cyclotomic:
-    """Spin fixed-point contribution 1/((r - 1/r)(s - 1/s)).
-
-    r and s are the square roots of z^a and z^b that are themselves
-    cube roots of unity (see half_power).
-    """
-    a, b = t.weights
-    ea, eb = half_power(a), half_power(b)
-    fa = zeta_power(ea) - zeta_power(-ea)
-    fb = zeta_power(eb) - zeta_power(-eb)
-    return (fa * fb).inverse()
 
 
 class FixedPointData(namedtuple("FixedPointData", "m_plus m_minus")):
@@ -125,15 +98,14 @@ def parse_fixed_data(text: str) -> FixedPointData:
 
 
 def g_signature_of_data(d: FixedPointData) -> Fraction:
-    """Total g-signature defect of the data; equals (m_plus - m_minus)/3.
+    """Total g-signature defect of the data, (m_plus - m_minus)/3.
 
-    Galois conjugation maps each local type to itself (weights (1, 2) to
-    (2, 1), and (1, 1) to (2, 2)), so each defect is rational and the sum
-    is taken in Q.
+    A point of weights (a, b) adds (z^a+1)(z^b+1) / ((z^a-1)(z^b-1)),
+    z = exp(2 pi i/3): 1/3 for the (+) type and -1/3 for the (-) type.
     """
-    plus = signature_defect(FixedPointType.PLUS).as_rational()
-    minus = signature_defect(FixedPointType.MINUS).as_rational()
-    return d.m_plus * plus + d.m_minus * minus
+    from fractions import Fraction  # only a library caller pays for the import
+
+    return Fraction(d.difference, 3)
 
 
 class DiracIndex(namedtuple("DiracIndex", "k0 k1 k2")):
@@ -148,38 +120,17 @@ class DiracIndex(namedtuple("DiracIndex", "k0 k1 k2")):
     def as_tuple(self) -> tuple[int, int, int]:
         return tuple(self)
 
-    @property
-    def total(self) -> int:
-        return sum(self)
-
 
 def dirac_coefficients(d: FixedPointData) -> DiracIndex:
     """Equivariant Dirac index multiplicities from the fixed-point data.
 
-    The three Lefschetz numbers of the index are DIRAC_INDEX (2, the
-    non-equivariant value for K3), the spin defect sum, and its Galois
-    conjugate; Fourier inversion over {1, g, g^2} recovers the k_j.
-    They are integers exactly when m_plus - m_minus = 6 mod 9.
+    The index has Lefschetz number DIRAC_INDEX (2, the non-equivariant
+    value for K3) at 1 and the spin defect sum s = (m_plus - m_minus)/3
+    at g and g^2.  Fourier inversion over {1, g, g^2} gives k1 = k2 =
+    (2 - s)/3 and k0 = 2 - 2 k1, integers exactly when
+    m_plus - m_minus = 6 mod 9.
     """
-    ind_g = d.m_plus * spin_defect(FixedPointType.PLUS) + d.m_minus * spin_defect(
-        FixedPointType.MINUS
-    )
-    ind_gg = ind_g.conjugate()
-    ind_1 = Cyclotomic(DIRAC_INDEX)
-    ks = []
-    for j in range(3):
-        kj = (ind_1 + zeta_power(-j) * ind_g + zeta_power(-2 * j) * ind_gg) / 3
-        val = kj.as_rational()
-        if val.denominator != 1:
-            raise ValueError("fixed data admits no consistent spin lift: m+ - m- != 6 (mod 9)")
-        ks.append(int(val))
-    k = DiracIndex(*ks)
-    # exact re-substitution into the three defining equations
-    if not (
-        k.total == DIRAC_INDEX
-        and k.k1 == k.k2
-        and k.k0 + zeta_power(1) * k.k1 + zeta_power(2) * k.k2 == ind_g
-        and k.k0 + zeta_power(2) * k.k1 + zeta_power(4) * k.k2 == ind_gg
-    ):
-        raise ArithmeticError(f"Dirac multiplicities {k.as_tuple()} fail re-substitution")
-    return k
+    k1, r = divmod(3 * DIRAC_INDEX - d.difference, 9)
+    if r:
+        raise ValueError("fixed data admits no consistent spin lift: m+ - m- != 6 (mod 9)")
+    return DiracIndex(DIRAC_INDEX - 2 * k1, k1, k1)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from . import linalg
 from .classify import ActionType
-from .fixed_data import FixedPointData, g_signature_of_data
+from .fixed_data import FixedPointData
 from .linalg import Matrix
 
 
@@ -329,7 +329,7 @@ def check_rep(L: GLattice, fixed_count: int) -> bool:
 
 
 def check_gsf(L: GLattice, d: FixedPointData) -> bool:
-    """g-signature formula: the lattice g-signature equals the defect sum.
+    """g-signature formula: the lattice g-signature is the defect sum (m+ - m-)/3.
 
     Checking g settles g^2 as well: the two fix the same sublattice, so
     they have the same lattice g-signature, and each defect is rational,
@@ -338,7 +338,7 @@ def check_gsf(L: GLattice, d: FixedPointData) -> bool:
     """
     if not verify_lattice(L).order3:
         raise ValueError(_ORDER_ERROR)
-    return g_signature_of_lattice(L) == g_signature_of_data(d)
+    return 3 * g_signature_of_lattice(L) == d.difference
 
 
 def check_lefschetz(L: GLattice, fixed_count: int) -> bool:
@@ -356,13 +356,13 @@ def _three_h_trivial() -> GLattice:
 def assemble_type_lattice(t: ActionType) -> GLattice:
     """The rank-22 model realizing a classified action type."""
     if t.name == "A0":
-        model = direct_sum(three_h_torus(), gamma16(5))
+        lhs, rhs = three_h_torus(), gamma16(5)
     elif t.name == "A1":
-        model = direct_sum(_three_h_trivial(), gamma16(5))
+        lhs, rhs = _three_h_trivial(), gamma16(5)
     elif t.name == "A2":
-        model = direct_sum(_three_h_trivial(), gamma16(4))
+        lhs, rhs = _three_h_trivial(), gamma16(4)
     elif t.name == "B":
-        model = direct_sum(three_h_perm(), gamma16(5))
+        lhs, rhs = three_h_perm(), gamma16(5)
     else:
         raise ValueError(f"unknown action type {t.name!r}")
-    return GLattice(model.gram, model.action, label=f"{t.name}: {model.label}")
+    return direct_sum(lhs, rhs, label=f"{t.name}: {lhs.label} + {rhs.label}")

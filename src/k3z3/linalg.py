@@ -14,12 +14,11 @@ among them) and converts it once, straight to fresh rows of python ints
 or handed back (the GLattice forms, the Smith form and the kernels)
 are `Matrix` values: immutable, exact, and with only the arithmetic the
 callers use.  Being immutable, `identity(n)` is built once per n and
-shared by every caller.  No floating point enters at any stage.
+shared by every caller.  No floating point and no `fractions` enter.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd
@@ -105,13 +104,12 @@ def _row_products(a, b, m: int) -> list[tuple[int, ...]]:
 
 
 def _as_int(x) -> int:
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            raise ValueError("expected integer entries")
-        return x.numerator
+    # a Fraction is read by its numerator when its denominator is 1
+    if getattr(x, "denominator", 1) != 1:
+        raise ValueError("expected integer entries")
     try:
         # any integer type with __index__ passes; floats do not
-        return index(x)
+        return index(getattr(x, "numerator", x))
     except TypeError:
         raise ValueError(f"expected integer entries, got {type(x).__name__}") from None
 
@@ -130,8 +128,6 @@ def int_rows(a) -> list[list[int]]:
         raise ValueError("expected a rectangular 2-D matrix")
     for row in rows:
         for x in row:
-            # an exact type test first: isinstance on Fraction goes through
-            # the numbers ABCs for every plain int
             if type(x) is not int:
                 row[:] = map(_as_int, row)
                 break

@@ -5,11 +5,15 @@ values are recomputed in complex floating point straight from their
 defining formulas, admissible rows are re-derived from the raw
 integrality constraints, determinants fall back to cofactor expansion,
 and the Gamma16 models are rebuilt by an explicit change of basis over
-Q.  The exceptions go through the package's Smith normal form: the
-module decomposition, recounted from a finite quotient (a different
-route to (a, b, c) than the package's rank mod 3), and the saturated
-invariant lattice (a different route to the fixed form than the
-package's rational kernel).  The exact code is then required to agree.
+Q.  The exact derivation of the fixed-point defects and of the Dirac
+multiplicities, by arithmetic in Q(zeta), runs on `k3z3.cyclotomic`,
+which the package itself does not import: it pins the closed forms the
+package uses.  The other exceptions go through the package's Smith
+normal form: the module decomposition, recounted from a finite quotient
+(a different route to (a, b, c) than the package's rank mod 3), and the
+saturated invariant lattice (a different route to the fixed form than
+the package's rational kernel).  The exact code is then required to
+agree.
 Basis changes multiply the package's `Matrix` values, whose arithmetic
 test_linalg checks against numpy object arrays.
 """
@@ -22,6 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from k3z3.cyclotomic import Cyclotomic, half_power, zeta_power
+from k3z3.fixed_data import FixedPointType
 from k3z3.linalg import Matrix, int_rows
 
 ZETA_C = complex(-0.5, math.sqrt(3) / 2)
@@ -52,13 +58,63 @@ def spin_defect_complex(a: int, b: int) -> complex:
     return 1 / ((ra - 1 / ra) * (rb - 1 / rb))
 
 
+def dirac_complex(m_plus: int, m_minus: int) -> tuple[complex, complex, complex]:
+    """(k0, k1, k2) by Fourier inversion of the Dirac index's three Lefschetz
+    numbers, in complex floats: 2 at 1, and the spin defect sums at g and
+    at g^2, whose weights are the doubled ones."""
+    at_g = m_plus * spin_defect_complex(1, 2) + m_minus * spin_defect_complex(1, 1)
+    at_gg = m_plus * spin_defect_complex(2, 4) + m_minus * spin_defect_complex(2, 2)
+    ind = (2, at_g, at_gg)
+    return tuple(sum(ZETA_C ** (-j * e) * ind[e] for e in range(3)) / 3 for j in range(3))
+
+
+def signature_defect(t: FixedPointType) -> Cyclotomic:
+    """g-signature summand (z^a+1)(z^b+1) / ((z^a-1)(z^b-1)) for the type's weights."""
+    a, b = t.value
+    num = (zeta_power(a) + 1) * (zeta_power(b) + 1)
+    den = (zeta_power(a) - 1) * (zeta_power(b) - 1)
+    return num / den
+
+
+def spin_defect(t: FixedPointType) -> Cyclotomic:
+    """Spin fixed-point contribution 1/((r - 1/r)(s - 1/s)).
+
+    r and s are the square roots of z^a and z^b that are themselves
+    cube roots of unity (see half_power).
+    """
+    a, b = t.value
+    ea, eb = half_power(a), half_power(b)
+    fa = zeta_power(ea) - zeta_power(-ea)
+    fb = zeta_power(eb) - zeta_power(-eb)
+    return (fa * fb).inverse()
+
+
+def g_signature_in_qzeta(m_plus: int, m_minus: int) -> Fraction:
+    """The defect sum m+ d+ + m- d-, taken in Q(zeta); it is rational."""
+    total = m_plus * signature_defect(FixedPointType.PLUS) + m_minus * signature_defect(FixedPointType.MINUS)
+    return total.as_rational()
+
+
+def dirac_by_fourier_inversion(m_plus: int, m_minus: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(k0, k1, k2) over Q, by Fourier inversion over {1, g, g^2} in Q(zeta).
+
+    The Lefschetz numbers of the index are 2 (the index of the Dirac
+    operator on K3) at 1, the spin defect sum at g and its Galois
+    conjugate at g^2.  The k_j are integers exactly when the data admit
+    a spin lift.
+    """
+    ind_g = m_plus * spin_defect(FixedPointType.PLUS) + m_minus * spin_defect(FixedPointType.MINUS)
+    ind_gg = ind_g.conjugate()
+    return tuple(
+        ((2 + zeta_power(-j) * ind_g + zeta_power(-2 * j) * ind_gg) / 3).as_rational() for j in range(3)
+    )
+
+
 def random_fraction(rng, span: int = 9) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 
 
-def random_cyclotomic(rng, span: int = 9):
-    from k3z3 import Cyclotomic
-
+def random_cyclotomic(rng, span: int = 9) -> Cyclotomic:
     return Cyclotomic(random_fraction(rng, span), random_fraction(rng, span))
 
 

@@ -27,12 +27,11 @@ from k3z3 import (
     dirac_coefficients,
     enumerate_action_types,
     fixed_sublattice,
+    g_signature_of_data,
     g_signature_of_lattice,
     gamma16,
     module_decomposition,
     signature,
-    signature_defect,
-    spin_defect,
     three_h_perm,
     three_h_torus,
     verdict,
@@ -42,9 +41,12 @@ from k3z3.cli import run as cli_run
 
 from _oracles import (
     brute_force_admissible,
+    dirac_complex,
     embed,
     random_cyclotomic,
+    signature_defect,
     signature_defect_complex,
+    spin_defect,
     spin_defect_complex,
     transformed,
 )
@@ -128,12 +130,12 @@ def test_criterion_06_dirac_coefficients():
     for name, want in expected.items():
         k = dirac_coefficients(action_type(name).data)
         assert k.as_tuple() == want
-        assert k.total == 2
+        assert sum(k) == 2
     for m_plus in range(25):
         for m_minus in range(25 - m_plus):
             d = FixedPointData(m_plus, m_minus)
             if (m_plus - m_minus) % 9 == 6:
-                assert dirac_coefficients(d).total == 2
+                assert sum(dirac_coefficients(d)) == 2
             else:
                 with pytest.raises(ValueError):
                     dirac_coefficients(d)
@@ -166,7 +168,23 @@ def test_criterion_08_oracle_equivalence():
         t = FixedPointType.MINUS if a % 3 == b % 3 else FixedPointType.PLUS
         assert abs(embed(signature_defect(t)) - signature_defect_complex(a, b)) < 1e-9
         assert abs(embed(spin_defect(t)) - spin_defect_complex(a, b)) < 1e-9
-    _report(8, "exact defects match the complex-float oracle to 1e-9 on all weight pairs")
+    # the closed forms Sign(g) = (m+ - m-)/3 and k1 = k2 = (6 - (m+ - m-))/9
+    lifts = 0
+    for m_plus in range(25):
+        for m_minus in range(25 - m_plus):
+            d = FixedPointData(m_plus, m_minus)
+            sign_c = m_plus * signature_defect_complex(1, 2) + m_minus * signature_defect_complex(1, 1)
+            assert abs(float(g_signature_of_data(d)) - sign_c) < 1e-9
+            if d.difference % 9 == 6:
+                k_c = dirac_complex(m_plus, m_minus)
+                assert all(abs(k - c) < 1e-9 for k, c in zip(dirac_coefficients(d), k_c))
+                lifts += 1
+    assert lifts == 36
+    _report(
+        8,
+        "exact defects, Sign(g) and the Dirac multiplicities match the complex-float "
+        "oracle to 1e-9 on all weight pairs and all 325 grid points",
+    )
 
 
 def test_criterion_09_invariance_suites():

@@ -1,5 +1,6 @@
 """Enumeration of admissible action types and its exhaustiveness."""
 
+import fractions
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from k3z3 import (
     K3,
     ActionType,
-    Cyclotomic,
     FixedPointData,
     action_type,
     admissible_differences,
@@ -15,11 +15,10 @@ from k3z3 import (
     dirac_coefficients,
     enumerate_action_types,
     fixed_data,
-    g_signature_of_data,
     quotient_invariants,
 )
 
-from _oracles import brute_force_admissible
+from _oracles import brute_force_admissible, g_signature_in_qzeta
 
 EXPECTED_ROWS = [
     ("A0", 6, 6, 0, 10, 3, 7, -4, 12),
@@ -43,16 +42,15 @@ def test_quotient_invariants(m_plus, m_minus, expected):
 
 def test_scaled_invariants_match_the_fraction_formulas():
     # the Fraction route, written out: chi(X/G) = (24 + 2 #X^G)/3 and
-    # Sign(X/G) = (-16 + 2 Sign(g))/3, at every point of the grid
-    defects = classify._thrice_defects()
-    assert defects == (1, -1)
+    # Sign(X/G) = (-16 + 2 Sign(g))/3, with Sign(g) summed in Q(zeta), at
+    # every point of the grid
     points = 0
     for m_plus in range(25):
         for m_minus in range(25 - m_plus):
             d = FixedPointData(m_plus, m_minus)
             euler = Fraction(24 + 2 * d.total, 3)
-            sign = (-16 + 2 * g_signature_of_data(d)) / 3
-            assert classify._scaled_invariants(m_plus, m_minus, defects) == (3 * euler, 9 * sign)
+            sign = (-16 + 2 * g_signature_in_qzeta(m_plus, m_minus)) / 3
+            assert classify._scaled_invariants(m_plus, m_minus) == (3 * euler, 9 * sign)
             assert quotient_invariants(d) == (euler, sign)
             points += 1
     assert points == 325
@@ -73,7 +71,7 @@ def test_sweep_runs_on_integers(cold_sweep, monkeypatch):
     for module, name in [
         (classify, "quotient_invariants"),
         (classify, "FixedPointData"),
-        (classify, "Fraction"),
+        (fractions, "Fraction"),
         (fixed_data, "g_signature_of_data"),
     ]:
         monkeypatch.setattr(module, name, _forbidden)
@@ -82,10 +80,27 @@ def test_sweep_runs_on_integers(cold_sweep, monkeypatch):
     assert all(type(x) is int for t in rows for x in t[1:])
 
 
-def test_sweep_self_check_rejects_a_defect_outside_z3(cold_sweep, monkeypatch):
-    monkeypatch.setattr(classify, "signature_defect", lambda t: Cyclotomic(Fraction(1, 9)))
-    with pytest.raises(ArithmeticError, match="not in Z/3"):
-        classify._enumerate()
+def test_sweep_needs_only_integrality_and_the_ranges():
+    # parity of b2 + Sign, the rotation planes and the fixed-rank relation
+    # hold at every point that passes integrality and the b+- ranges, so
+    # the sweep does not test them; written out from the raw formulas
+    integral = in_range = 0
+    for m_plus in range(25):
+        for m_minus in range(25 - m_plus):
+            chi3 = 24 + 2 * (m_plus + m_minus)
+            sig9 = -48 + 2 * (m_plus - m_minus)
+            if chi3 % 3 or sig9 % 9:
+                continue
+            integral += 1
+            b2, sign = chi3 // 3 - 2, sig9 // 9
+            assert (b2 + sign) % 2 == 0
+            bplus, bminus = (b2 + sign) // 2, (b2 - sign) // 2
+            if not (0 <= bplus <= 3 and 0 <= bminus <= 19):
+                continue
+            in_range += 1
+            assert (3 - bplus) % 2 == 0 and (19 - bminus) % 2 == 0
+            assert 2 * m_plus + m_minus == {1: 3, 3: 12}[bplus]
+    assert (integral, in_range) == (15, 4)
 
 
 def test_admissible_differences():
@@ -141,7 +156,7 @@ def test_rows_satisfy_all_defining_equations():
 def test_each_row_has_integral_dirac_coefficients():
     for t in enumerate_action_types():
         k = dirac_coefficients(t.data)
-        assert k.total == 2
+        assert sum(k) == 2
 
 
 def test_enumeration_is_exhaustive():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3z3 import Cyclotomic, ZETA, half_power, zeta_power
+from k3z3.cyclotomic import ZETA, Cyclotomic, half_power, zeta_power
 
 from _oracles import embed, random_cyclotomic
 

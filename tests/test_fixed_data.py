@@ -1,14 +1,11 @@
 """Fixed-point types, defects and equivariant Dirac multiplicities."""
 
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
 from k3z3 import (
-    Cyclotomic,
     DiracIndex,
     FixedPointData,
     FixedPointType,
@@ -16,12 +13,20 @@ from k3z3 import (
     g_signature_of_data,
     normalize_type,
     parse_fixed_data,
+)
+from k3z3.cyclotomic import Cyclotomic, zeta_power
+
+from _oracles import (
+    dirac_by_fourier_inversion,
+    embed,
+    g_signature_in_qzeta,
     signature_defect,
+    signature_defect_complex,
     spin_defect,
-    zeta_power,
+    spin_defect_complex,
 )
 
-from _oracles import embed, signature_defect_complex, spin_defect_complex
+GRID = [FixedPointData(m_plus, m_minus) for m_plus in range(25) for m_minus in range(25 - m_plus)]
 
 
 @pytest.mark.parametrize(
@@ -110,7 +115,7 @@ def test_aggregate_is_fixed_by_conjugation():
 def test_dirac_coefficients_examples(m_plus, m_minus, expected):
     k = dirac_coefficients(FixedPointData(m_plus, m_minus))
     assert k.as_tuple() == expected
-    assert k.total == 2
+    assert sum(k) == 2
     assert k.k1 == k.k2
 
 
@@ -122,6 +127,21 @@ def test_dirac_coefficients_satisfy_the_three_equations():
         assert k.k0 + k.k1 + k.k2 == 2
         assert k.k0 + zeta_power(1) * k.k1 + zeta_power(2) * k.k2 == s
         assert k.k0 + zeta_power(2) * k.k1 + zeta_power(1) * k.k2 == s
+
+
+def test_closed_forms_match_the_qzeta_derivation_on_the_grid():
+    assert len(GRID) == 325
+    lifts = 0
+    for d in GRID:
+        assert g_signature_of_data(d) == g_signature_in_qzeta(d.m_plus, d.m_minus)
+        ks = dirac_by_fourier_inversion(d.m_plus, d.m_minus)
+        if all(k.denominator == 1 for k in ks):
+            assert dirac_coefficients(d).as_tuple() == ks
+            lifts += 1
+        else:
+            with pytest.raises(ValueError, match="spin lift"):
+                dirac_coefficients(d)
+    assert lifts == 36
 
 
 def test_dirac_succeeds_exactly_on_the_mod9_class():
@@ -138,7 +158,7 @@ def test_dirac_succeeds_exactly_on_the_mod9_class():
 def test_dirac_index_type():
     k = DiracIndex(-2, 2, 2)
     assert k.as_tuple() == (-2, 2, 2)
-    assert k.total == 2
+    assert sum(k) == 2
 
 
 def test_fixed_point_data_validation():
@@ -181,19 +201,3 @@ def test_random_data_aggregates(seed=17):
         m_minus = rng.randint(0, 24 - m_plus)
         d = FixedPointData(m_plus, m_minus)
         assert g_signature_of_data(d) == Fraction(m_plus - m_minus, 3)
-
-
-def test_dirac_self_check_survives_optimized_mode():
-    # a corrupted DiracIndex must still be caught when python -O strips asserts
-    code = (
-        "from k3z3 import fixed_data as fd\n"
-        "real = fd.DiracIndex\n"
-        "fd.DiracIndex = lambda k0, k1, k2: real(k0 + 1, k1, k2)\n"
-        "try:\n"
-        "    fd.dirac_coefficients(fd.FixedPointData(3, 6))\n"
-        "except ArithmeticError as exc:\n"
-        "    print(__debug__, exc)\n"
-    )
-    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("False Dirac multiplicities (1, 1, 1) fail re-substitution")

@@ -203,6 +203,12 @@ def test_inertia_and_determinant_examples():
         linalg.inertia_and_determinant([[0, 1], [2, 0]])
 
 
+def test_inertia_and_determinant_with_a_zero_leading_row():
+    # zero diagonal and a zero first row: the pivot is made from a pair below it
+    assert linalg.inertia_and_determinant([[0, 0, 0], [0, 0, 1], [0, 1, 0]]) == ((1, 1, 1), 0)
+    assert linalg.inertia_and_determinant([[0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 0], [0, 2, 0, 0]]) == ((1, 1, 2), 0)
+
+
 def test_inertia_and_determinant_match_bareiss_and_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(59)

@@ -46,3 +46,40 @@ def test_decomposition_recovered_under_basis_change(module):
     assert quotient_decomposition(M) == (a, b, c)
     # the rational kernel and the saturated one carry forms of one inertia
     assert linalg.inertia(fixed_sublattice(M)[1]) == linalg.inertia(saturated_fixed_sublattice(M)[1])
+
+
+@st.composite
+def degenerate_forms(draw):
+    """Symmetric integer forms that reach the zero-pivot branches of the inertia.
+
+    x^T d x has rank at most r; its diagonal may be cleared, and zero rows
+    and columns are put in front of it, then the whole is permuted.
+    """
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(0, n))
+    x = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=r, max_size=r))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=r, max_size=r))
+    core = [[sum(s * row[i] * row[j] for s, row in zip(signs, x)) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            core[i][i] = 0
+    lead = draw(st.integers(0, 3))
+    form = linalg.block_diag([[0] * lead for _ in range(lead)] if lead else linalg.Matrix([]), core)
+    perm = draw(st.permutations(range(lead + n))) if draw(st.booleans()) else range(lead + n)
+    return [[form[i][j] for j in perm] for i in perm]
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_forms())
+def test_inertia_of_degenerate_forms_matches_sympy(form):
+    # Descartes' rule of signs is exact for the characteristic polynomial of
+    # a symmetric matrix, whose roots are all real
+    sympy = pytest.importorskip("sympy")
+    n = len(form)
+    coeffs = sympy.Matrix(form).charpoly().all_coeffs()  # leading coefficient first
+    null = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
+    nonzero = [c for c in coeffs if c != 0]
+    pos = sum((a > 0) != (b > 0) for a, b in zip(nonzero, nonzero[1:]))
+    sig, det = linalg.inertia_and_determinant(form)
+    assert sig == (pos, n - pos - null, null)
+    assert det == sympy.Matrix(form).det()

@@ -4,7 +4,6 @@ import pytest
 
 from k3z3 import (
     K3,
-    Cyclotomic,
     DiracIndex,
     FixedPointData,
     GLattice,
@@ -15,6 +14,7 @@ from k3z3 import (
     verdict,
     verify_lattice,
 )
+from k3z3.cyclotomic import Cyclotomic
 
 
 # one instance of each record class, with the name of one of its fields
