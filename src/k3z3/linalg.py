@@ -10,19 +10,23 @@ package itself runs no Smith form; it stays as a reference kernel.
 
 Each kernel takes an integer matrix as nested sequences (a `Matrix`
 among them) and converts it once, straight to fresh rows of python ints
-(`int_rows`), which it then reduces in place.  Matrices that are kept
-or handed back (the GLattice forms, the Smith form and the kernels)
-are `Matrix` values: immutable, exact, and with only the arithmetic the
-callers use.  Being immutable, `identity(n)` is built once per n and
-shared by every caller.  No floating point and no `fractions` enter.
+(`int_rows`), which it then reduces in place.  The symmetric
+elimination updates one triangle of the symmetric block left at each
+step and mirrors it into the other.  Matrices that are kept or handed
+back (the GLattice forms, the Smith form and the kernels) are `Matrix`
+values: immutable, exact, and with only the arithmetic the callers use.
+A product visits only the nonzero entries of its left factor (the
+sparser one), since a basis-changed action is mostly zeros.  Being
+immutable, `identity(n)` is built once per n and shared by every
+caller.  No floating point and no `fractions` enter.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd
-from operator import add, index, mul, sub
+from operator import add, index, mul, ne, sub
 
 
 class Matrix(tuple):
@@ -87,17 +91,23 @@ def _nonzeros(a: Matrix) -> int:
 
 
 def _row_products(a, b, m: int) -> list[tuple[int, ...]]:
-    """Rows of a @ b, each a combination of the rows of b (m columns)."""
+    """Rows of a @ b, each a combination of the rows of b (m columns).
+
+    Only the nonzero entries of a row of `a` are visited, and a row whose
+    first nonzero entry is 1 starts from that row of `b` as it is.
+    """
     out = []
     zero = (0,) * m
+    k = len(b)
     for row in a:
         acc = zero
-        for x, brow in zip(row, b):
+        for j in compress(range(k), row):
+            x, brow = row[j], b[j]
             if x == 1:
-                acc = tuple(map(add, acc, brow))
+                acc = brow if acc is zero else tuple(map(add, acc, brow))
             elif x == -1:
                 acc = tuple(map(sub, acc, brow))
-            elif x:
+            else:
                 acc = tuple(map(add, acc, map(mul, repeat(x), brow)))
         out.append(acc)
     return out
@@ -307,8 +317,9 @@ def rational_kernel(a) -> Matrix:
     n, m = len(rows), _ncols(a, rows)
     kept = []  # (pivot column, reduced row)
     kernel = []
+    unit = identity(m)
     for k, col in enumerate(zip(*rows) if n else repeat((), m)):
-        r = [*col, *(int(j == k) for j in range(m))]
+        r = [*col, *unit[k]]
         for piv, krow in kept:
             x = r[piv]
             if x:
@@ -358,11 +369,14 @@ def inertia_and_determinant(a) -> tuple[tuple[int, int, int], int]:
     Bareiss pivots.  A block with an all-zero diagonal gets a pivot
     manufactured by a symmetric row-and-column addition.  Every step is
     a congruence by a unimodular matrix, so the determinant is the last
-    Bareiss pivot, or 0 when the form is degenerate.
+    Bareiss pivot, or 0 when the form is degenerate.  Each step keeps the
+    block below and right of its pivot symmetric, so only its upper
+    triangle is computed and each entry is mirrored into the lower one;
+    the pivot search and the pair addition read the full block.
     """
     s = int_rows(a)
     n = len(s)
-    if any(len(row) != n for row in s) or [list(col) for col in zip(*s)] != s:
+    if any(len(row) != n for row in s) or any(map(ne, zip(*s), map(tuple, s))):
         raise ValueError("inertia needs a symmetric matrix")
     pos = neg = null = 0
     prev = 1
@@ -396,12 +410,14 @@ def inertia_and_determinant(a) -> tuple[tuple[int, int, int], int]:
             pos += 1
         else:
             neg += 1
+        # the trailing block stays symmetric: update its upper triangle
+        # and mirror each entry into the lower one
         row_t = s[t]
         for i in range(t + 1, n):
             row_i = s[i]
             sit = row_i[t]
-            for j in range(t + 1, n):
-                row_i[j] = (row_i[j] * p - sit * row_t[j]) // prev
+            for j in range(i, n):
+                row_i[j] = s[j][i] = (row_i[j] * p - sit * row_t[j]) // prev
         prev = p
         t += 1
     return (pos, neg, null), 0 if null else prev

@@ -32,6 +32,37 @@ def test_int_rows_rejects_proper_fractions():
         linalg.int_rows([[1.5]])
 
 
+def test_int_rows_converts_a_non_int_in_a_later_row():
+    rows = linalg.int_rows([[1, 2], [Fraction(6, 2), np.int64(4)]])
+    assert rows == [[1, 2], [3, 4]]
+    assert all(type(x) is int for row in rows for x in row)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, 2.0])
+def test_int_rows_rejects_a_non_integer_in_the_last_row_of_a_matrix(bad):
+    # a Matrix takes its rows as given, so its entries are checked too
+    with pytest.raises(ValueError, match="integer entries"):
+        linalg.int_rows(linalg.Matrix([[1, 2], [3, bad]]))
+
+
+def test_every_kernel_validates_lists_and_matrices_alike():
+    kernels = (
+        linalg.bareiss_determinant,
+        linalg.inertia_and_determinant,
+        linalg.rational_kernel,
+        linalg.rank_mod3,
+        linalg.smith_normal_form,
+        linalg.integer_kernel,
+        lambda a: linalg.block_diag([[1]], a),
+    )
+    bad = ([[2, 1], [1, Fraction(1, 2)]], [[2, 1], [1, 0.5]], [[2, 1], [1, 2.0]], [[2, 1], [1]])
+    for kernel in kernels:
+        for rows in bad:
+            for a in (rows, linalg.Matrix(rows)):
+                with pytest.raises(ValueError, match="integer entries|rectangular"):
+                    kernel(a)
+
+
 def test_bareiss_determinant_examples():
     assert linalg.bareiss_determinant([[0, 1], [1, 0]]) == -1
     assert linalg.bareiss_determinant([[2, 0], [0, 3]]) == 6
@@ -209,6 +240,12 @@ def test_inertia_and_determinant_with_a_zero_leading_row():
     assert linalg.inertia_and_determinant([[0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 0], [0, 2, 0, 0]]) == ((1, 1, 2), 0)
 
 
+def test_inertia_and_determinant_pair_path_after_a_pivot():
+    # the first step leaves [[0, 2], [2, 0]], and the stale entries left of
+    # it are nonzero: the pair search must not look at them
+    assert linalg.inertia_and_determinant([[1, 1, 1], [1, 1, 3], [1, 3, 1]]) == ((2, 1, 0), -4)
+
+
 def test_inertia_and_determinant_match_bareiss_and_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(59)
@@ -231,6 +268,40 @@ def test_inertia_and_determinant_match_bareiss_and_sympy():
         assert det == linalg.bareiss_determinant(sym) == sympy.Matrix(sym).det()
         assert sig == linalg.inertia(sym)
         assert (sig[2] > 0) == (det == 0)
+
+
+def test_inertia_and_determinant_on_rank_22_forms(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    from k3z3 import classify, lattice
+
+    swaps = []  # the step at which each symmetric swap is made
+    sym_swap = linalg._sym_swap
+    monkeypatch.setattr(linalg, "_sym_swap", lambda s, i, j, t: (swaps.append(t), sym_swap(s, i, j, t)))
+    rng = random.Random(61)
+    for t in classify.enumerate_action_types():
+        gram = lattice.assemble_type_lattice(t).gram  # 3H (zero diagonal), then Gamma16
+        forms = []
+        for steps in (8, 64):
+            u, _ = random_unimodular_pair(rng, 22, steps)
+            forms.append((u.T @ gram @ u, None))
+        for k in (1, 3, 5):
+            # k vectors of Gamma16 first, then 3H and the rest of Gamma16
+            perm = [*range(6, 6 + k), *range(6), *range(6 + k, 22)]
+            forms.append(([[gram[i][j] for j in perm] for i in perm], k))
+        for form, k in forms:
+            swaps.clear()
+            sig, det = linalg.inertia_and_determinant(form)
+            assert sig == (3, 19, 0)
+            assert det == linalg.bareiss_determinant(form) == DomainMatrix.from_list(form, sympy.ZZ).det() == -1
+            if k is not None:
+                # the zero-diagonal block is met first at step k and swapped
+                # behind Gamma16 until step 16, where all that is left is 3H
+                # with an all-zero diagonal: that pivot comes from the pair
+                # addition, with no swap
+                assert swaps[: 16 - k] == list(range(k, 16))
+                assert 16 not in swaps
 
 
 def test_inertia_requires_symmetry():
