@@ -410,8 +410,6 @@ def inertia_and_determinant(a) -> tuple[tuple[int, int, int], int]:
             pos += 1
         else:
             neg += 1
-        # the trailing block stays symmetric: update its upper triangle
-        # and mirror each entry into the lower one
         row_t = s[t]
         for i in range(t + 1, n):
             row_i = s[i]
