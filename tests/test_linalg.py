@@ -275,8 +275,8 @@ def test_inertia_and_determinant_on_rank_22_forms(monkeypatch):
     sym_swap = linalg._sym_swap
     monkeypatch.setattr(linalg, "_sym_swap", lambda s, i, j, t: (swaps.append(t), sym_swap(s, i, j, t)))
     rng = random.Random(61)
-    for t in classify.enumerate_action_types():
-        gram = lattice.assemble_type_lattice(t).gram  # 3H (zero diagonal), then Gamma16
+    for action_type in classify.enumerate_action_types():
+        gram = lattice.assemble_type_lattice(action_type).gram  # 3H (zero diagonal), then Gamma16
         forms = []
         for steps in (8, 64):
             u, _ = random_unimodular_pair(rng, 22, steps)
