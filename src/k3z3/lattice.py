@@ -222,7 +222,8 @@ TORSION_NOTE = "torsion condition skipped: redundant for order-3 actions"
 def verify_lattice(L: GLattice) -> LatticeReport:
     """Audit the defining properties; failures are report entries, not errors."""
     g, a = L.gram, L.action
-    symmetric = g == g.T
+    at, gt = a.T, g.T
+    symmetric = g == gt
     if symmetric:
         # one symmetric elimination gives both the inertia and the determinant
         sig, det = linalg.inertia_and_determinant(g)
@@ -236,10 +237,16 @@ def verify_lattice(L: GLattice) -> LatticeReport:
         symmetric=symmetric,
         unimodular=abs(det) == 1,
         even=all(row[i] % 2 == 0 for i, row in enumerate(g)),
-        isometry=a.T @ g @ a == g,
-        order3=a @ a @ a == linalg.identity(L.rank),
+        # the sparse action leads each product: aT g a = aT (aT gT)T
+        isometry=at @ (at @ gt).T == g,
+        order3=a @ (a @ a) == linalg.identity(L.rank),
         notes=(TORSION_NOTE,),
     )
+
+
+@lru_cache(maxsize=8)
+def _action_minus_identity(L: GLattice) -> Matrix:
+    return L.action - linalg.identity(L.rank)  # read by fixed_sublattice and module_decomposition
 
 
 def fixed_sublattice(L: GLattice) -> tuple[Matrix, Matrix]:
@@ -251,8 +258,9 @@ def fixed_sublattice(L: GLattice) -> tuple[Matrix, Matrix]:
     form on the invariant lattice.  The sublattice need not be saturated,
     so its determinant may differ from the invariant lattice's.
     """
-    basis = linalg.rational_kernel(L.action - linalg.identity(L.rank))
-    return basis, basis.T @ L.gram @ basis
+    basis = linalg.rational_kernel(_action_minus_identity(L))
+    bt = basis.T  # the sparse basis leads each product: bT g b = (bT (bT g)T)T
+    return basis, (bt @ (bt @ L.gram).T).T
 
 
 def signature(mat) -> tuple[int, int, int]:
@@ -290,7 +298,7 @@ def module_decomposition(L: GLattice) -> ModuleDecomposition:
         raise ValueError(_ORDER_ERROR)
     trace = L.trace
     planes = (L.rank - trace) // 3
-    c = linalg.rank_mod3(L.action - linalg.identity(L.rank)) - planes
+    c = linalg.rank_mod3(_action_minus_identity(L)) - planes
     b = planes - c
     a = trace + b
     if a < 0 or b < 0 or c < 0:

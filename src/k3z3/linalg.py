@@ -15,9 +15,9 @@ elimination updates one triangle of the symmetric block left at each
 step and mirrors it into the other.  Matrices that are kept or handed
 back (the GLattice forms, the Smith form and the kernels) are `Matrix`
 values: immutable, exact, and with only the arithmetic the callers use.
-A product visits only the nonzero entries of its left factor (the
-sparser one), since a basis-changed action is mostly zeros.  Being
-immutable, `identity(n)` is built once per n and shared by every
+A product costs one row operation per nonzero entry of its left factor,
+so callers write the sparse factor (a basis-changed action) first.
+Being immutable, `identity(n)` is built once per n and shared by every
 caller.  No floating point and no `fractions` enter.
 """
 
@@ -34,8 +34,9 @@ class Matrix(tuple):
 
     `rows` are taken as given, so they should come from `int_rows` or
     from another Matrix; `ncols` is read only when there are no rows.
-    Supports `@`, `+`, `-`, `.T`, `.shape` and `.tolist()`.  `==` is
-    tuple equality (so any two matrices without rows are equal), item
+    Supports `@` (one row operation per nonzero entry of the left factor:
+    write the sparse factor first), `+`, `-`, `.T`, `.shape` and `.tolist()`.
+    `==` is tuple equality (so any two matrices without rows are equal), item
     assignment raises TypeError and attribute assignment AttributeError,
     so one value can be shared, as `identity` shares its results.
     """
@@ -75,26 +76,17 @@ class Matrix(tuple):
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        (n, k), (k2, m) = self.shape, other.shape
+        (_, k), (k2, m) = self.shape, other.shape
         if k != k2:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        # one row operation per nonzero entry of the left factor, so the
-        # sparser factor goes on the left: A @ B == (B.T @ A.T).T
-        if _nonzeros(other) < _nonzeros(self):
-            return Matrix(_row_products(other.T, self.T, n), n).T
         return Matrix(_row_products(self, other, m), m)
-
-
-def _nonzeros(a: Matrix) -> int:
-    n, m = a.shape
-    return n * m - sum(map(tuple.count, a, repeat(0)))
 
 
 def _row_products(a, b, m: int) -> list[tuple[int, ...]]:
     """Rows of a @ b, each a combination of the rows of b (m columns).
 
-    Only the nonzero entries of a row of `a` are visited, and a row whose
-    first nonzero entry is 1 starts from that row of `b` as it is.
+    One row operation per nonzero entry of `a`, never reordered; a row
+    whose first nonzero entry is 1 starts from that row of `b` as it is.
     """
     out = []
     zero = (0,) * m
@@ -329,7 +321,7 @@ def rational_kernel(a) -> Matrix:
         content = gcd(*r)
         if content > 1:
             r = [u // content for u in r]
-        piv = next((j for j in range(n) if r[j]), None)
+        piv = next(compress(range(n), r), None)
         if piv is None:
             kernel.append(r[n:])
         else:
@@ -383,7 +375,7 @@ def inertia_and_determinant(a) -> tuple[tuple[int, int, int], int]:
     t = 0
     while t < n:
         if s[t][t] == 0:
-            piv = next((i for i in range(t + 1, n) if s[i][i] != 0), None)
+            piv = next((i for i in range(t + 1, n) if s[i][i]), None)
             if piv is not None:
                 _sym_swap(s, t, piv, t)
             else:

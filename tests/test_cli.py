@@ -254,6 +254,40 @@ def test_verify_record_kernel_budget(monkeypatch):
         assert calls == budget, t.name
 
 
+def test_verify_record_products_lead_with_the_sparse_factor(bench_common, monkeypatch):
+    # a product costs one row operation per nonzero entry of its left factor,
+    # so each of a record's six products leads with the action, its transpose
+    # or the transposed kernel basis; g - 1 is built once per lattice
+    from k3z3 import classify, linalg
+
+    lefts, subtractions = [], []
+    matmul, sub = linalg.Matrix.__matmul__, linalg.Matrix.__sub__
+
+    def spy_matmul(self, other):
+        lefts.append(self)
+        return matmul(self, other)
+
+    def spy_sub(self, other):
+        subtractions.append(self)
+        return sub(self, other)
+
+    inputs = [(t, lattice.assemble_type_lattice(t)) for t in classify.enumerate_action_types()]
+    t, L = inputs[-1]
+    gram, action = L.gram.tolist(), L.action.tolist()
+    bench_common._congruence(gram, action, random.Random(14), 8)
+    inputs.append((t, GLattice(gram, action, label="basis change")))
+    for t, L in inputs:
+        lefts.clear()
+        subtractions.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg.Matrix, "__matmul__", spy_matmul)
+            mp.setattr(linalg.Matrix, "__sub__", spy_sub)
+            assert cli._verification_record(t, L)["_passed"]
+        assert (len(lefts), len(subtractions)) == (6, 1), L.label
+        basis = linalg.rational_kernel(L.action - linalg.identity(L.rank))
+        assert all(left in (L.action, L.action.T, basis.T) for left in lefts), L.label
+
+
 @pytest.fixture(scope="module")
 def bench_common():
     """perfbench/common.py, read in place without writing bytecode."""
@@ -357,12 +391,22 @@ FAILING = {
             "_symmetric": True, "_unimodular": True, "_passed": False,
         },
     ),
-    # the only records whose determinant comes from Bareiss elimination
+    # the only records whose determinant comes from Bareiss elimination; the
+    # second is an isometry, read through the transposed gram
     "non_symmetric_gram": (
         {"gram": [[0, 1], [2, 0]], "action": [[0, -1], [1, -1]]},
         {
             "type": "A1", "rank": 2, "det": -2, "even": True, "isometry": False, "order3": True,
             "signature": None, "fixed_signature": None, "decomposition": {"a": 0, "b": 1, "c": 0},
+            "rep": False, "gsf": False, "lefschetz": False,
+            "_symmetric": False, "_unimodular": False, "_passed": False,
+        },
+    ),
+    "non_symmetric_isometry": (
+        {"gram": [[1, 2], [3, 4]], "action": [[-1, 0], [0, -1]]},
+        {
+            "type": "A1", "rank": 2, "det": -2, "even": False, "isometry": True, "order3": False,
+            "signature": None, "fixed_signature": None, "decomposition": None,
             "rep": False, "gsf": False, "lefschetz": False,
             "_symmetric": False, "_unimodular": False, "_passed": False,
         },

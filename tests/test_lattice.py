@@ -202,6 +202,22 @@ def test_fixed_sublattice_examples():
     assert signature(restricted) == signature(h.gram)
 
 
+def test_fixed_form_on_non_symmetric_grams():
+    # the fixed form is bT g b for any gram g, whatever order its products take
+    rng = random.Random(89)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        perm = rng.sample(range(n), n)
+        gram = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        gram[0][1] = gram[1][0] + rng.choice((-1, 1))
+        L = transformed(GLattice(gram, [[int(perm[j] == i) for j in range(n)] for i in range(n)]), rng)
+        assert L.gram != L.gram.T
+        basis, restricted = fixed_sublattice(L)
+        assert restricted == basis.T @ L.gram @ basis
+        nb = np.array(basis, dtype=object)
+        assert restricted.tolist() == (nb.T @ np.array(L.gram, dtype=object) @ nb).tolist()
+
+
 def test_signature_examples():
     assert signature([[0, 1], [1, 0]]) == (1, 1, 0)
     k3_form = direct_sum(direct_sum(direct_sum(hyperbolic(), hyperbolic()), hyperbolic()), gamma16(0))

@@ -400,7 +400,7 @@ def test_matrix_matches_numpy_object_arrays():
             assert got.tolist() == want.tolist()
         assert a.T.T == a
         assert (a @ b).T == b.T @ a.T
-    assert orientations == {False, True}  # products ran in both orientations
+    assert orientations == {False, True}  # the data has sparser-left and sparser-right pairs
 
 
 def test_matrix_shape_mismatches_raise():
