@@ -10,7 +10,6 @@ on stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import classify, lattice, obstruction
@@ -20,6 +19,8 @@ TYPE_NAMES = ("A0", "A1", "A2", "B")
 
 
 def _dumps(obj) -> str:
+    import json  # only JSON output pays for it
+
     return json.dumps(obj, indent=2) + "\n"
 
 

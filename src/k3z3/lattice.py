@@ -33,12 +33,12 @@ class GLattice:
     __slots__ = ("gram", "action", "label")
 
     def __init__(self, gram, action, label: str = "lattice"):
-        gram, action = linalg.int_rows(gram), linalg.int_rows(action)
+        gram, action = Matrix(gram), Matrix(action)
         n = len(gram)
-        if len(action) != n or any(len(row) != n for row in gram + action):
+        if gram.shape != action.shape or gram.shape != (n, n):
             raise ValueError("gram and action must be square matrices of equal size")
-        object.__setattr__(self, "gram", Matrix(gram))
-        object.__setattr__(self, "action", Matrix(action))
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "action", action)
         object.__setattr__(self, "label", label)
 
     def __setattr__(self, name, value):

@@ -8,13 +8,15 @@ mod 3 elimination over F_3, and the inertia of a symmetric form, with
 its determinant, fraction-free symmetric congruence elimination.  The
 package itself runs no Smith form; it stays as a reference kernel.
 
-Each kernel takes an integer matrix as nested sequences (a `Matrix`
-among them) and converts it once, straight to fresh rows of python ints
-(`int_rows`), which it then reduces in place.  The symmetric
-elimination updates one triangle of the symmetric block left at each
-step and mirrors it into the other.  Matrices that are kept or handed
-back (the GLattice forms, the Smith form and the kernels) are `Matrix`
-values: immutable, exact, and with only the arithmetic the callers use.
+A `Matrix` is checked once, when built from nested sequences, so the
+results of its arithmetic and of the kernels need no second check.
+Each kernel reads its argument as a `Matrix`, or copies it once to
+fresh rows (`int_rows`, which checks only what is not a `Matrix`) that
+it reduces in place; the symmetric elimination keeps one triangle of
+the block left at each step, the rank mod 3 each row's nonzero
+residues.  Matrices that are kept or handed back (the GLattice forms,
+the Smith form and the kernels) are `Matrix` values: immutable, exact,
+and with only the arithmetic the callers use.
 A product costs one row operation per nonzero entry of its left factor,
 so callers write the sparse factor (a basis-changed action) first.
 Being immutable, `identity(n)` is built once per n and shared by every
@@ -32,8 +34,8 @@ from operator import add, index, mul, ne, sub
 class Matrix(tuple):
     """Immutable integer matrix: a tuple of row tuples of python ints.
 
-    `rows` are taken as given, so they should come from `int_rows` or
-    from another Matrix; `ncols` is read only when there are no rows.
+    `Matrix(rows, ncols)` checks `rows` as `int_rows` does (a Matrix passes
+    as it is), so no Matrix holds a non-int; `ncols` is read only without rows.
     Supports `@` (one row operation per nonzero entry of the left factor:
     write the sparse factor first), `+`, `-`, `.T`, `.shape` and `.tolist()`.
     `==` is tuple equality (so any two matrices without rows are equal), item
@@ -42,9 +44,7 @@ class Matrix(tuple):
     """
 
     def __new__(cls, rows, ncols: int = 0):
-        self = super().__new__(cls, map(tuple, rows))
-        object.__setattr__(self, "shape", (len(self), len(self[0]) if self else ncols))
-        return self
+        return rows if type(rows) is Matrix else _matrix(int_rows(rows), ncols)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -55,7 +55,7 @@ class Matrix(tuple):
     @property
     def T(self) -> Matrix:
         n, m = self.shape
-        return Matrix(zip(*self) if n else repeat((), m), n)
+        return _matrix(zip(*self) if n else repeat((), m), n)
 
     def tolist(self) -> list[list[int]]:
         return [list(row) for row in self]
@@ -71,7 +71,7 @@ class Matrix(tuple):
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} and {other.shape}")
-        return Matrix(map(map, repeat(op), self, other), self.shape[1])
+        return _matrix(map(map, repeat(op), self, other), self.shape[1])
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -79,7 +79,14 @@ class Matrix(tuple):
         (_, k), (k2, m) = self.shape, other.shape
         if k != k2:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        return Matrix(_row_products(self, other, m), m)
+        return _matrix(_row_products(self, other, m), m)
+
+
+def _matrix(rows, ncols: int) -> Matrix:
+    """A Matrix of rows of python ints, built without a check."""
+    self = tuple.__new__(Matrix, map(tuple, rows))
+    object.__setattr__(self, "shape", (len(self), len(self[0]) if self else ncols))
+    return self
 
 
 def _row_products(a, b, m: int) -> list[tuple[int, ...]]:
@@ -117,11 +124,13 @@ def _as_int(x) -> int:
 
 
 def int_rows(a) -> list[list[int]]:
-    """Validated fresh copy of an integer matrix as rows of python ints.
+    """Fresh copy of an integer matrix as rows of python ints, checked unless a Matrix.
 
     Integral Fractions become ints; any other entry that is not an
     integer raises ValueError, as does a ragged or non-2-D matrix.
     """
+    if type(a) is Matrix:
+        return [list(row) for row in a]
     try:
         rows = [list(row) for row in a]
     except TypeError:
@@ -136,24 +145,17 @@ def int_rows(a) -> list[list[int]]:
     return rows
 
 
-def _ncols(a, rows) -> int:
-    """Column count of `a`, given `rows = int_rows(a)`; a Matrix keeps it without rows."""
-    if rows:
-        return len(rows[0])
-    return a.shape[1] if isinstance(a, Matrix) else 0
-
-
 @lru_cache(maxsize=None)
 def identity(n: int) -> Matrix:
     """The n x n identity, built once per n and shared (Matrix is immutable)."""
-    return Matrix([[int(i == j) for j in range(n)] for i in range(n)], n)
+    return _matrix([[int(i == j) for j in range(n)] for i in range(n)], n)
 
 
 def block_diag(a, b) -> Matrix:
     """Block-diagonal join of two matrices."""
-    ra, rb = int_rows(a), int_rows(b)
-    na, nb = _ncols(a, ra), _ncols(b, rb)
-    return Matrix([row + [0] * nb for row in ra] + [[0] * na + row for row in rb], na + nb)
+    a, b = Matrix(a), Matrix(b)
+    na, nb = a.shape[1], b.shape[1]
+    return _matrix([row + (0,) * nb for row in a] + [(0,) * na + row for row in b], na + nb)
 
 
 def bareiss_determinant(a) -> int:
@@ -211,9 +213,9 @@ def smith_normal_form(a):
     The nonzero diagonal entries of D are positive and each divides the
     next.
     """
+    a = Matrix(a)
+    n, m = a.shape
     d = int_rows(a)
-    n = len(d)
-    m = _ncols(a, d)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     v = [[int(i == j) for j in range(m)] for i in range(m)]
     t = 0
@@ -280,7 +282,7 @@ def smith_normal_form(a):
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    return Matrix(u, n), Matrix(d, m), Matrix(v, m)
+    return _matrix(u, n), _matrix(d, m), _matrix(v, m)
 
 
 def integer_kernel(a) -> Matrix:
@@ -292,7 +294,7 @@ def integer_kernel(a) -> Matrix:
     """
     _, d, v = smith_normal_form(a)
     free = [j for j in range(len(v)) if j >= len(d) or d[j][j] == 0]
-    return Matrix([[row[j] for j in free] for row in v], len(free))
+    return _matrix([[row[j] for j in free] for row in v], len(free))
 
 
 def rational_kernel(a) -> Matrix:
@@ -305,12 +307,12 @@ def rational_kernel(a) -> Matrix:
     hence independent.  They span a full-rank sublattice of the integer
     kernel, which need not be saturated.
     """
-    rows = int_rows(a)
-    n, m = len(rows), _ncols(a, rows)
+    a = Matrix(a)
+    n, m = a.shape
     kept = []  # (pivot column, reduced row)
     kernel = []
     unit = identity(m)
-    for k, col in enumerate(zip(*rows) if n else repeat((), m)):
+    for k, col in enumerate(a.T):
         r = [*col, *unit[k]]
         for piv, krow in kept:
             x = r[piv]
@@ -326,26 +328,30 @@ def rational_kernel(a) -> Matrix:
             kernel.append(r[n:])
         else:
             kept.append((piv, r))
-    return Matrix(kernel, m).T
+    return _matrix(kernel, m).T
 
 
 def rank_mod3(a) -> int:
-    """Rank over F_3 of an integer matrix, by Gaussian elimination mod 3."""
-    rows = [[x % 3 for x in row] for row in int_rows(a)]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for i in range(rank + 1, len(rows)):
+    """Rank over F_3 of an integer matrix, by Gaussian elimination mod 3.
+
+    Each row, a dict of its nonzero residues, is reduced by the kept row
+    pivoting on its lowest column until it vanishes or takes that pivot.
+    """
+    pivots = {}  # lowest column -> kept row
+    for row in Matrix(a):
+        r = {j: row[j] % 3 for j in compress(range(len(row)), row) if row[j] % 3}
+        while r:
+            col = min(r)
+            prow = pivots.get(col)
+            if prow is None:
+                pivots[col] = r
+                break
             # 1 and 2 are their own inverses mod 3
-            f = rows[i][col] * prow[col] % 3
-            if f:
-                rows[i] = [(x - f * y) % 3 for x, y in zip(rows[i], prow)]
-        rank += 1
-    return rank
+            f = r[col] * prow[col] % 3
+            for j, y in prow.items():
+                if x := (r.pop(j, 0) - f * y) % 3:
+                    r[j] = x
+    return len(pivots)
 
 
 def inertia(a) -> tuple[int, int, int]:
@@ -363,8 +369,8 @@ def inertia_and_determinant(a) -> tuple[tuple[int, int, int], int]:
     a congruence by a unimodular matrix, so the determinant is the last
     Bareiss pivot, or 0 when the form is degenerate.  Each step keeps the
     block below and right of its pivot symmetric, so only its upper
-    triangle is computed and each entry is mirrored into the lower one;
-    the pivot search and the pair addition read the full block.
+    triangle (`s[i][j]` with `j >= i`) is read and written, by the
+    elimination, the pivot searches, the swap and the pair addition.
     """
     s = int_rows(a)
     n = len(s)
@@ -377,26 +383,21 @@ def inertia_and_determinant(a) -> tuple[tuple[int, int, int], int]:
         if s[t][t] == 0:
             piv = next((i for i in range(t + 1, n) if s[i][i]), None)
             if piv is not None:
-                _sym_swap(s, t, piv, t)
+                _upper_swap(s, t, piv)
             else:
-                pair = None
-                for i in range(t, n):
-                    for j in range(i + 1, n):
-                        if s[i][j] != 0:
-                            pair = (i, j)
-                            break
-                    if pair:
-                        break
+                pair = next(((i, j) for i in range(t, n) for j in range(i + 1, n) if s[i][j]), None)
                 if pair is None:
                     null += n - t
                     break
+                # row i += row j and column i += column j: the block's diagonal
+                # and its rows above i are 0, so only row i changes
                 i, j = pair
-                for kk in range(t, n):
-                    s[i][kk] += s[j][kk]
-                for kk in range(t, n):
-                    s[kk][i] += s[kk][j]
+                row_i = s[i]
+                row_i[i] = 2 * row_i[j]
+                for k in range(i + 1, n):
+                    row_i[k] += s[k][j] if k <= j else s[j][k]
                 if i != t:
-                    _sym_swap(s, t, i, t)
+                    _upper_swap(s, t, i)
         p = s[t][t]
         if (p > 0) == (prev > 0):
             pos += 1
@@ -405,15 +406,19 @@ def inertia_and_determinant(a) -> tuple[tuple[int, int, int], int]:
         row_t = s[t]
         for i in range(t + 1, n):
             row_i = s[i]
-            sit = row_i[t]
+            sit = row_t[i]
             for j in range(i, n):
-                row_i[j] = s[j][i] = (row_i[j] * p - sit * row_t[j]) // prev
+                row_i[j] = (row_i[j] * p - sit * row_t[j]) // prev
         prev = p
         t += 1
     return (pos, neg, null), 0 if null else prev
 
 
-def _sym_swap(s, i, j, start):
-    s[i], s[j] = s[j], s[i]
-    for row in s[start:]:
-        row[i], row[j] = row[j], row[i]
+def _upper_swap(s, t, p):
+    """Swap indices t < p of the symmetric block from t on, stored as its upper triangle."""
+    row_t, row_p = s[t], s[p]
+    row_t[t], row_p[p] = row_p[p], row_t[t]
+    for k in range(t + 1, p):
+        row_k = s[k]
+        row_t[k], row_k[p] = row_k[p], row_t[k]
+    row_t[p + 1 :], row_p[p + 1 :] = row_p[p + 1 :], row_t[p + 1 :]

@@ -13,7 +13,9 @@ normal form: the module decomposition, recounted from a finite quotient
 (a different route to (a, b, c) than the package's rank mod 3), and the
 saturated invariant lattice (a different route to the fixed form than
 the package's rational kernel).  The exact code is then required to
-agree.
+agree.  `full_storage_inertia_and_determinant` is the package's earlier
+symmetric elimination, which kept and swapped the whole symmetric block:
+it pins the one-triangle version to the same pivots and results.
 Basis changes multiply the package's `Matrix` values, whose arithmetic
 test_linalg checks against numpy object arrays.
 """
@@ -28,7 +30,7 @@ import numpy as np
 
 from k3z3.cyclotomic import Cyclotomic, half_power, zeta_power
 from k3z3.fixed_data import FixedPointType
-from k3z3.linalg import Matrix, int_rows
+from k3z3.linalg import Matrix
 
 ZETA_C = complex(-0.5, math.sqrt(3) / 2)
 
@@ -155,6 +157,58 @@ def naive_determinant(m) -> int:
     return total
 
 
+def full_storage_inertia_and_determinant(a, pair_steps=None) -> tuple[tuple[int, int, int], int]:
+    """Inertia and determinant by symmetric fraction-free elimination on
+    the full symmetric block: each update is mirrored into the lower
+    triangle, and swaps exchange whole rows and columns.  The steps at
+    which a pivot comes from the pair addition are appended to
+    `pair_steps` when it is given."""
+    s = [list(row) for row in Matrix(a)]
+    n = len(s)
+    if any(len(row) != n for row in s) or any(s[i][j] != s[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("inertia needs a symmetric matrix")
+
+    def sym_swap(i, j, start):
+        s[i], s[j] = s[j], s[i]
+        for row in s[start:]:
+            row[i], row[j] = row[j], row[i]
+
+    pos = neg = null = 0
+    prev = 1
+    t = 0
+    while t < n:
+        if s[t][t] == 0:
+            piv = next((i for i in range(t + 1, n) if s[i][i]), None)
+            if piv is not None:
+                sym_swap(t, piv, t)
+            else:
+                pair = next(((i, j) for i in range(t, n) for j in range(i + 1, n) if s[i][j] != 0), None)
+                if pair is None:
+                    null += n - t
+                    break
+                if pair_steps is not None:
+                    pair_steps.append(t)
+                i, j = pair
+                for kk in range(t, n):
+                    s[i][kk] += s[j][kk]
+                for kk in range(t, n):
+                    s[kk][i] += s[kk][j]
+                if i != t:
+                    sym_swap(t, i, t)
+        p = s[t][t]
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        for i in range(t + 1, n):
+            sit = s[i][t]
+            for j in range(i, n):
+                s[i][j] = s[j][i] = (s[i][j] * p - sit * s[t][j]) // prev
+        prev = p
+        t += 1
+    return (pos, neg, null), 0 if null else prev
+
+
 def rational_inverse(a) -> np.ndarray:
     """Exact inverse over Q as a matrix of Fractions, by Gauss-Jordan elimination."""
     arr = np.array(a, dtype=object)
@@ -256,8 +310,7 @@ def solve_integer(a, b) -> Matrix:
     """
     from k3z3 import linalg
 
-    amat = Matrix(int_rows(a))
-    bmat = Matrix(int_rows(b))
+    amat, bmat = Matrix(a), Matrix(b)
     n, r = amat.shape
     if bmat.shape[0] != n:
         raise ValueError("shape mismatch in solve_integer")

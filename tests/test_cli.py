@@ -56,12 +56,13 @@ def test_error_diagnostics_subprocess():
 
 def test_no_subcommand_loads_numpy():
     # a fresh process, so that no earlier test has imported these already;
-    # dataclasses pulls in inspect, ast, dis and tokenize at every start-up
+    # dataclasses pulls in inspect, ast, dis and tokenize at every start-up,
+    # and only JSON output needs json
     code = (
         "import sys\n"
         "import k3z3\n"
         "from k3z3 import cli\n"
-        "unwanted = ('numpy', 'dataclasses', 'inspect')\n"
+        "unwanted = ('numpy', 'dataclasses', 'inspect', 'json')\n"
         "for argv in (['classify'], ['dirac', '--mplus', '3', '--mminus', '6'],\n"
         "             ['gsig', '--mplus', '3', '--mminus', '6'], ['smooth', '--type', 'A1'],\n"
         "             ['verify', '--type', 'A1']):\n"

@@ -9,7 +9,12 @@ import pytest
 
 from k3z3 import linalg
 
-from _oracles import elementary_divisors, naive_determinant, random_unimodular_pair
+from _oracles import (
+    elementary_divisors,
+    full_storage_inertia_and_determinant,
+    naive_determinant,
+    random_unimodular_pair,
+)
 
 
 def random_int_matrix(rng, n, m, span=6):
@@ -39,7 +44,8 @@ def test_int_rows_converts_a_non_int_in_a_later_row():
 
 
 def test_every_kernel_validates_lists_and_matrices_alike():
-    # a Matrix takes its rows as given, so its entries are checked too
+    # a Matrix is checked when it is built, so none can hold a non-int:
+    # building one from bad rows raises what the kernel raises on the rows
     kernels = (
         linalg.int_rows,
         linalg.bareiss_determinant,
@@ -53,9 +59,39 @@ def test_every_kernel_validates_lists_and_matrices_alike():
     bad = ([[2, 1], [1, Fraction(1, 2)]], [[2, 1], [1, 0.5]], [[2, 1], [1, 2.0]], [[2, 1], [1]])
     for kernel in kernels:
         for rows in bad:
-            for a in (rows, linalg.Matrix(rows)):
-                with pytest.raises(ValueError, match="integer entries|rectangular"):
-                    kernel(a)
+            with pytest.raises(ValueError, match="integer entries|rectangular") as from_rows:
+                kernel(rows)
+            with pytest.raises(ValueError) as from_matrix:
+                kernel(linalg.Matrix(rows))
+            assert str(from_matrix.value) == str(from_rows.value)
+
+
+def random_entry_types(rng, rows):
+    """The same integers, some as numpy ints, integral Fractions or bools."""
+    kinds = (int, np.int64, lambda x: Fraction(3 * x, 3), lambda x: bool(x) if x in (0, 1) else x)
+    return [[rng.choice(kinds)(x) for x in row] for row in rows]
+
+
+def test_matrix_results_hold_python_ints():
+    rng = random.Random(151)
+    for _ in range(200):
+        n, k, m = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        a = linalg.Matrix(random_entry_types(rng, random_int_matrix(rng, n, k, span=4)), k)
+        b = linalg.Matrix(random_entry_types(rng, random_int_matrix(rng, k, m, span=4)), m)
+        c = linalg.Matrix(random_entry_types(rng, random_int_matrix(rng, n, k, span=4)), k)
+        assert linalg.Matrix(a) is a
+        results = [a, a @ b, a + c, a - c, a.T, linalg.identity(m), linalg.block_diag(a, b)]
+        results += [linalg.rational_kernel(a), *linalg.smith_normal_form(a)]
+        for x in results:
+            assert isinstance(x, linalg.Matrix)
+            assert all(type(e) is int for row in x for e in row)
+        # int_rows hands out fresh lists: writing to them leaves `a` as it was
+        frozen = a.tolist()
+        rows = linalg.int_rows(a)
+        for row in rows:
+            row[:] = [7] * len(row)
+        rows.append([7] * k)
+        assert a.tolist() == frozen and linalg.int_rows(a) == frozen
 
 
 def test_bareiss_determinant_examples():
@@ -200,10 +236,22 @@ def test_rank_mod3_matches_sympy_over_gf3():
     from sympy.polys.matrices import DomainMatrix
 
     rng = random.Random(32)
-    for _ in range(40):
-        n, m = rng.randint(1, 6), rng.randint(1, 6)
-        a = random_int_matrix(rng, n, m)
-        assert linalg.rank_mod3(a) == DomainMatrix.from_list(a, sympy.GF(3)).rank()
+    for trial in range(200):
+        n, m = rng.randint(0, 8), rng.randint(0, 8)
+        if trial < 40:
+            a = random_int_matrix(rng, n, m)
+        else:
+            # sparse rows with negative entries, some of them vanishing mod 3
+            a = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 4, -5)) for _ in range(m)] for _ in range(n)]
+            for row in a:
+                if rng.random() < 0.3:
+                    row[:] = [3 * rng.randint(-2, 2) for _ in row]
+            if n > 1 and rng.random() < 0.3:
+                a[-1] = [x - 3 * y for x, y in zip(a[0], a[-1])]
+        want = DomainMatrix([[sympy.GF(3)(x) for x in row] for row in a], (n, m), sympy.GF(3)).rank()
+        assert linalg.rank_mod3(a) == linalg.rank_mod3(linalg.Matrix(a, m)) == want
+    for n, m in ((0, 0), (0, 4), (4, 0)):
+        assert linalg.rank_mod3(linalg.Matrix([[]] * n if m == 0 else [[0] * m] * n, m)) == 0
 
 
 def test_inertia_examples():
@@ -272,8 +320,8 @@ def test_inertia_and_determinant_on_rank_22_forms(monkeypatch):
     from k3z3 import classify, lattice
 
     swaps = []  # the step at which each symmetric swap is made
-    sym_swap = linalg._sym_swap
-    monkeypatch.setattr(linalg, "_sym_swap", lambda s, i, j, t: (swaps.append(t), sym_swap(s, i, j, t)))
+    upper_swap = linalg._upper_swap
+    monkeypatch.setattr(linalg, "_upper_swap", lambda s, t, p: (swaps.append(t), upper_swap(s, t, p)))
     rng = random.Random(61)
     for action_type in classify.enumerate_action_types():
         gram = lattice.assemble_type_lattice(action_type).gram  # 3H (zero diagonal), then Gamma16
@@ -297,6 +345,48 @@ def test_inertia_and_determinant_on_rank_22_forms(monkeypatch):
                 # addition, with no swap
                 assert swaps[: 16 - k] == list(range(k, 16))
                 assert 16 not in swaps
+
+
+def random_blocked_form(rng, n):
+    """A symmetric form of size n, block diagonal up to a permutation.
+
+    Blocks of size 1 to 4 are zero, have an all-zero diagonal, or are
+    random; every block with an all-zero diagonal is left to the end with
+    nothing coupled to it, so the elimination makes a pivot by the pair
+    addition once per such block.
+    """
+    form = [[0] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        size = min(rng.randint(1, 4), n - start)
+        kind = rng.choice(("zero", "hollow", "hollow", "random"))
+        for i in range(start, start + size):
+            for j in range(i, start + size):
+                if kind == "hollow" and i == j or kind == "zero":
+                    continue
+                form[i][j] = form[j][i] = rng.randint(-3, 3)
+        start += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[form[i][j] for j in perm] for i in perm]
+
+
+def test_inertia_and_determinant_matches_full_storage_oracle():
+    rng = random.Random(157)
+    pair_counts = []
+    for trial in range(400):
+        n = rng.randint(0, 12)
+        if trial % 4:
+            form = random_blocked_form(rng, n)
+        else:
+            m = random_int_matrix(rng, n, n, span=3)
+            form = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+        pair_steps = []
+        want = full_storage_inertia_and_determinant(form, pair_steps)
+        pair_counts.append(len(pair_steps))
+        assert linalg.inertia_and_determinant(form) == want
+        assert linalg.inertia_and_determinant(linalg.Matrix(form, n)) == want
+    assert max(pair_counts) >= 3 and sum(c >= 2 for c in pair_counts) >= 50
 
 
 def test_inertia_requires_symmetry():
