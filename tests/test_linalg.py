@@ -350,10 +350,10 @@ def test_inertia_and_determinant_on_rank_22_forms(monkeypatch):
 def random_blocked_form(rng, n):
     """A symmetric form of size n, block diagonal up to a permutation.
 
-    Blocks of size 1 to 4 are zero, have an all-zero diagonal, or are
-    random; every block with an all-zero diagonal is left to the end with
-    nothing coupled to it, so the elimination makes a pivot by the pair
-    addition once per such block.
+    Blocks of size 1 to 4 are zero, hollow (an all-zero diagonal) or
+    random.  Nothing couples the blocks, so a hollow block keeps its zero
+    diagonal until the elimination reaches it, and the pair addition can
+    make a pivot once for each hollow block.
     """
     form = [[0] * n for _ in range(n)]
     start = 0
