@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from . import classify, lattice, obstruction
+from . import lattice
 from .fixed_data import FixedPointData, dirac_coefficients, parse_fixed_data
+
+if TYPE_CHECKING:
+    from . import classify
 
 TYPE_NAMES = ("A0", "A1", "A2", "B")
 
@@ -56,6 +60,8 @@ def _row_dict(t: classify.ActionType) -> dict:
 
 
 def _cmd_classify(args) -> tuple[int, str]:
+    from . import classify  # each subcommand imports only what it runs
+
     rows = classify.enumerate_action_types()
     if args.format == "json":
         return 0, _dumps([_row_dict(t) for t in rows])
@@ -152,6 +158,8 @@ def _render_verify_text(rec: dict) -> str:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
+    from . import classify
+
     names = list(TYPE_NAMES) if args.all else [args.type_name]
     records = []
     for name in names:
@@ -179,6 +187,8 @@ def _cmd_dirac(args) -> tuple[int, str]:
 
 
 def _cmd_smooth(args) -> tuple[int, str]:
+    from . import classify, obstruction
+
     t = classify.action_type(args.type_name)
     if args.surface == "standard":
         if args.p is not None or args.q is not None:

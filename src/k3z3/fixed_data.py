@@ -62,7 +62,8 @@ class FixedPointData(namedtuple("FixedPointData", "m_plus m_minus")):
         return self.m_plus - self.m_minus
 
 
-_ENTRY = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*(?:x\s*(\d+)\s*)?$")
+# a pattern string: re compiles and caches it on the first parse, not at import
+_ENTRY = r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*(?:x\s*(\d+)\s*)?$"
 
 
 def parse_fixed_data(text: str) -> FixedPointData:
@@ -89,7 +90,7 @@ def parse_fixed_data(text: str) -> FixedPointData:
     counts = {FixedPointType.PLUS: 0, FixedPointType.MINUS: 0}
     for part in parts:
         part = part.strip()
-        m = _ENTRY.match(part)
+        m = re.match(_ENTRY, part)
         if not m:
             raise ValueError(f"cannot parse fixed-point entry {part!r}")
         mult = int(m.group(3)) if m.group(3) else 1

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from . import linalg
-from .classify import ActionType
-from .fixed_data import FixedPointData
 from .linalg import Matrix
+
+if TYPE_CHECKING:
+    from .classify import ActionType
+    from .fixed_data import FixedPointData
 
 
 class GLattice:
@@ -90,34 +93,25 @@ def gamma16(k: int) -> GLattice:
     are mutually congruent mod Z with even coordinate sum, carrying the
     negated Euclidean form.  The generator permutes coordinates by
     (1 2 3)(4 5 6)...(3k-2 3k-1 3k).  The integral basis used is
-    f_i = e_i + e_16 (i <= 9), f_i = e_i - e_16 (10 <= i <= 15) and
-    f_16 = (e_1 + ... + e_16)/2.  Each 3-cycle stays inside {1..9} or
-    {10..15}, so it permutes the f_i exactly as it permutes the e_i: the
-    action matrix is the coordinate permutation itself, and integral as
-    long as the cycles avoid coordinate 16, hence k <= 5.
+    f_i = e_i + s_i e_16 (i <= 15, s_i = 1 for i <= 9 and -1 otherwise)
+    and f_16 = (e_1 + ... + e_16)/2, so the Gram matrix is written in
+    closed form: f_i.f_j = -(delta_ij + s_i s_j), f_16.f_i = -(1 + s_i)/2
+    and f_16.f_16 = -4.  Each 3-cycle stays inside {1..9} or {10..15},
+    so it permutes the f_i exactly as it permutes the e_i: the action
+    matrix is the coordinate permutation itself, and integral as long as
+    the cycles avoid coordinate 16, hence k <= 5.
     """
     if not 0 <= k <= 5:
         raise ValueError("k must lie in 0..5 (the 3-cycles must avoid coordinate 16)")
-    n = 16
-    # columns are the doubled basis vectors 2*f_i: integral, and their
-    # products 4*(f_i . f_j) divide exactly by 4
-    doubled = [[0] * n for _ in range(n)]
-    for i in range(9):
-        doubled[i][i] = 2
-        doubled[n - 1][i] = 2
-    for i in range(9, 15):
-        doubled[i][i] = 2
-        doubled[n - 1][i] = -2
-    for i in range(n):
-        doubled[i][n - 1] = 1
-    doubled = Matrix(doubled)
-    gram = [[-x // 4 for x in row] for row in doubled.T @ doubled]
-    perm = [[0] * n for _ in range(n)]
-    for c in range(3 * k):
-        image = c - 2 if c % 3 == 2 else c + 1
-        perm[image][c] = 1
-    for c in range(3 * k, n):
-        perm[c][c] = 1
+    s = [1] * 9 + [-1] * 6
+    gram = [
+        [-(i == j) - si * sj for j, sj in enumerate(s)] + [-(1 + si) // 2]
+        for i, si in enumerate(s)
+    ]
+    gram.append([row[-1] for row in gram] + [-4])
+    perm = [[0] * 16 for _ in range(16)]
+    for c in range(16):
+        perm[c if c >= 3 * k else c - 2 if c % 3 == 2 else c + 1][c] = 1
     return GLattice(gram, perm, label=f"Gamma16(k={k})")
 
 

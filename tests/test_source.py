@@ -28,3 +28,71 @@ def test_cli_imports_no_rational_arithmetic():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def _fresh(code: str) -> list[str]:
+    """Run `code` in a new interpreter, where no test has imported anything yet."""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+def test_import_k3z3_loads_no_submodule_and_resolves_names_on_first_use():
+    code = (
+        "import sys, k3z3\n"
+        "print(sorted(m for m in sys.modules if m.startswith('k3z3.')))\n"
+        "homes = {n: getattr(k3z3, n).__module__ for n in k3z3.__all__}\n"
+        "print(sorted(set(homes.values())))\n"
+        "print(all(getattr(k3z3, n) is getattr(sys.modules[m], n) for n, m in homes.items()))\n"
+        "print(k3z3.gamma16 is sys.modules['k3z3.lattice'].gamma16)\n"
+        "print(set(k3z3.__all__) <= set(dir(k3z3)), '__version__' in dir(k3z3))\n"
+        "star = {}\n"
+        "exec('from k3z3 import *', star)\n"
+        "print(set(k3z3.__all__) <= set(star))\n"
+        "try:\n"
+        "    k3z3.nosuch\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert _fresh(code) == [
+        "[]",
+        "['k3z3.classify', 'k3z3.fixed_data', 'k3z3.lattice', 'k3z3.obstruction']",
+        "True",
+        "True",
+        "True True",
+        "True",
+        "module 'k3z3' has no attribute 'nosuch'",
+    ]
+
+
+def test_each_subcommand_loads_only_what_it_runs():
+    # classify is loaded by the subcommands that read the action types,
+    # obstruction only by smooth
+    calls = {
+        "classify": ["k3z3.classify"],
+        "verify --type A1": ["k3z3.classify"],
+        "dirac --mplus 3 --mminus 6": [],
+        "gsig --data (1,2)x3,(1,1)x6": [],
+        "smooth --type A1": ["k3z3.classify", "k3z3.obstruction"],
+    }
+    for argv, loaded in calls.items():
+        code = (
+            "import sys\n"
+            "from k3z3 import cli\n"
+            f"exit_code = cli.run({argv.split()!r})[0]\n"
+            "print(exit_code, [m for m in ('k3z3.classify', 'k3z3.obstruction') if m in sys.modules])\n"
+        )
+        assert _fresh(code) == [f"0 {loaded}"], argv
+
+
+def test_verify_record_runs_no_import_statement():
+    # a record is the verify_shallow op: the modules it reads are bound at import
+    def imports(tree):
+        return any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(tree))
+
+    src = SOURCES[0].parent
+    cli = ast.parse((src / "cli.py").read_text())
+    (record,) = [f for f in cli.body if isinstance(f, ast.FunctionDef) and f.name == "_verification_record"]
+    lattice = ast.parse((src / "lattice.py").read_text())
+    functions = [node for node in ast.walk(lattice) if isinstance(node, ast.FunctionDef)]
+    assert functions and [f.name for f in (record, *functions) if imports(f)] == []
