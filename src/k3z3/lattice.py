@@ -111,7 +111,8 @@ def gamma16(k: int) -> GLattice:
     gram.append([row[-1] for row in gram] + [-4])
     perm = [[0] * 16 for _ in range(16)]
     for c in range(16):
-        perm[c if c >= 3 * k else c - 2 if c % 3 == 2 else c + 1][c] = 1
+        image = c if c >= 3 * k else c - 2 if c % 3 == 2 else c + 1
+        perm[image][c] = 1
     return GLattice(gram, perm, label=f"Gamma16(k={k})")
 
 
