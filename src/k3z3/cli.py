@@ -45,45 +45,18 @@ def _align(rows: list[tuple[str, ...]]) -> str:
 # classify
 
 
-def _row_dict(t: classify.ActionType) -> dict:
-    return {
-        "name": t.name,
-        "fixed_count": t.fixed_count,
-        "m_plus": t.m_plus,
-        "m_minus": t.m_minus,
-        "b2_G": t.b2_G,
-        "bplus_G": t.bplus_G,
-        "bminus_G": t.bminus_G,
-        "sign_quotient": t.sign_quotient,
-        "euler_quotient": t.euler_quotient,
-    }
-
-
 def _cmd_classify(args) -> tuple[int, str]:
     from . import classify  # each subcommand imports only what it runs
 
     rows = classify.enumerate_action_types()
     if args.format == "json":
-        return 0, _dumps([_row_dict(t) for t in rows])
+        return 0, _dumps([t._asdict() for t in rows])
     if args.format == "tsv":
-        fields = list(_row_dict(rows[0]))
-        lines = ["\t".join(fields)]
-        lines += ["\t".join(str(v) for v in _row_dict(t).values()) for t in rows]
+        lines = ["\t".join(rows[0]._fields)]
+        lines += ["\t".join(map(str, t)) for t in rows]
         return 0, "\n".join(lines) + "\n"
     table = [("Type", "#X^G", "m+", "m-", "b2^G", "b+^G", "b-^G", "Sign(X/G)")]
-    for t in rows:
-        table.append(
-            (
-                t.name,
-                str(t.fixed_count),
-                str(t.m_plus),
-                str(t.m_minus),
-                str(t.b2_G),
-                str(t.bplus_G),
-                str(t.bminus_G),
-                str(t.sign_quotient),
-            )
-        )
+    table += [tuple(map(str, t[:8])) for t in rows]  # every field but euler_quotient
     return 0, _align(table)
 
 
@@ -93,6 +66,7 @@ def _cmd_classify(args) -> tuple[int, str]:
 
 def _verification_record(t: classify.ActionType, L: lattice.GLattice) -> dict:
     report = lattice.verify_lattice(L)
+    sig, fsig, dec = report.signature, report.fixed_signature, report.decomposition
     record = {
         "type": t.name,
         "rank": L.rank,
@@ -100,19 +74,10 @@ def _verification_record(t: classify.ActionType, L: lattice.GLattice) -> dict:
         "even": report.even,
         "isometry": report.isometry,
         "order3": report.order3,
+        "signature": None if sig is None else list(sig[:2]),
+        "fixed_signature": None if fsig is None else list(fsig[:2]),
+        "decomposition": None if dec is None else dec._asdict(),
     }
-    try:
-        sig, fsig = lattice.signatures(L)
-        record["signature"] = [sig[0], sig[1]]
-        record["fixed_signature"] = [fsig[0], fsig[1]]
-    except ValueError:
-        record["signature"] = None
-        record["fixed_signature"] = None
-    try:
-        dec = lattice.module_decomposition(L)
-        record["decomposition"] = {"a": dec.a, "b": dec.b, "c": dec.c}
-    except ValueError:
-        record["decomposition"] = None
     for key, check in (
         ("rep", lambda: lattice.check_rep(L, t.fixed_count)),
         ("gsf", lambda: lattice.check_gsf(L, t.data)),

@@ -128,19 +128,6 @@ def three_h_perm() -> GLattice:
     return GLattice(gram, action, label="3H(cyclic)")
 
 
-def _eps4(i: int, j: int, k: int, l: int) -> int:
-    """Sign of (i, j, k, l) as a permutation of (0, 1, 2, 3); 0 on repeats."""
-    seq = (i, j, k, l)
-    if len(set(seq)) != 4:
-        return 0
-    sign = 1
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if seq[a] > seq[b]:
-                sign = -sign
-    return sign
-
-
 def _exterior_square(m: Matrix) -> list[list[int]]:
     """Induced matrix on wedge^2, basis e_i ^ e_j (i < j) in lexicographic order."""
     n = len(m)
@@ -157,14 +144,17 @@ def three_h_torus() -> GLattice:
     twists).  The lattice returned is its exterior square with the
     orientation pairing (alpha, beta) -> coefficient of e1^e2^e3^e4 in
     alpha^beta, for the ordered basis e1^e2, e1^e3, e1^e4, e2^e3,
-    e2^e4, e3^e4.
+    e2^e4, e3^e4.  Each basis vector pairs only with its complement
+    (e1^e2 with e3^e4, e1^e3 with e2^e4, ...), which sits at the mirrored
+    place of the basis, so the gram is anti-diagonal.  Its entries are the
+    signs of the permutations 1234, 1324, 1423, 2314, 2413, 3412: +1, -1,
+    +1, +1, -1, +1.
     """
     # multiplication by zeta on Z + zeta*Z in the basis (1, zeta)
     mult_zeta = Matrix([[0, -1], [1, -1]])
     g4 = linalg.block_diag(mult_zeta, mult_zeta @ mult_zeta)
     action = _exterior_square(g4)
-    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    gram = [[_eps4(i, j, k, l) for k, l in pairs] for i, j in pairs]
+    gram = [[s * (j == 5 - i) for j in range(6)] for i, s in enumerate((1, -1, 1, 1, -1, 1))]
     return GLattice(gram, action, label="3H(torus)")
 
 
@@ -182,12 +172,19 @@ def direct_sum(lhs: GLattice, rhs: GLattice, label: str | None = None) -> GLatti
 
 
 class LatticeReport(
-    namedtuple("LatticeReport", "label rank det signature symmetric unimodular even isometry order3 notes")
+    namedtuple(
+        "LatticeReport",
+        "label rank det signature fixed_signature symmetric unimodular even isometry order3 "
+        "decomposition notes",
+    )
 ):
-    """Outcome of the structural audit of a GLattice.
+    """Outcome of the audit of a GLattice, with every invariant the checks read.
 
-    `signature` is the inertia (pos, neg, null) of the form, or None when
-    the form is not symmetric.
+    `signature` and `fixed_signature` are the inertia (pos, neg, null) of
+    the form and of the form restricted to the fixed sublattice, or None
+    when the form is not symmetric.  `decomposition` is the
+    ModuleDecomposition, or None when the action fails order 3 or a count
+    comes out negative.
     """
 
     __slots__ = ()
@@ -209,39 +206,61 @@ class LatticeReport(
 TORSION_NOTE = "torsion condition skipped: redundant for order-3 actions"
 
 
-# Every cache below keeps a few lattices.  GLattice compares by identity,
-# so an entry is keyed on one object, which the cache keeps alive while the
-# entry lasts; what is handed out is immutable.  One verification reads each
-# entry several times (the record, then the checks).
+# The audit is the one per-lattice store of results: the checks and the CLI
+# record read it however often they ask.  It and g - 1, which the fixed
+# sublattice and the rank mod 3 both read, keep a few lattices each.
+# GLattice compares by identity, so an entry is keyed on one object, which
+# the cache keeps alive while the entry lasts; what is handed out is
+# immutable.
 @lru_cache(maxsize=8)
 def verify_lattice(L: GLattice) -> LatticeReport:
-    """Audit the defining properties; failures are report entries, not errors."""
+    """Audit the defining properties and compute the invariants of the action.
+
+    Failures are report entries, not errors.  The decomposition splits the
+    action module as a*Z + b*Z[zeta] + c*Z[G].  By Reiner, these three are
+    the only indecomposable integral representations of the cyclic group
+    of order 3; they add (1, 2, 3) to the rank n, (1, -1, 0) to tr(g) and
+    (0, 1, 2) to r, the rank of g - 1 over F_3.  So there are
+    b + c = (n - tr(g))/3 rotation planes, c = r - (b + c) and a = tr(g) + b.
+    """
     g, a = L.gram, L.action
     at, gt = a.T, g.T
     symmetric = g == gt
     if symmetric:
         # one symmetric elimination gives both the inertia and the determinant
         sig, det = linalg.inertia_and_determinant(g)
+        fixed_sig = signature(fixed_sublattice(L)[1])
     else:
-        sig, det = None, linalg.bareiss_determinant(g)
+        sig, det, fixed_sig = None, linalg.bareiss_determinant(g), None
+    order3 = a @ (a @ a) == linalg.identity(L.rank)
+    dec = None
+    if order3:
+        trace = L.trace
+        planes = (L.rank - trace) // 3
+        c = linalg.rank_mod3(_action_minus_identity(L)) - planes
+        b = planes - c
+        if min(trace + b, b, c) >= 0:
+            dec = ModuleDecomposition(trace + b, b, c)
     return LatticeReport(
         label=L.label,
         rank=L.rank,
         det=det,
         signature=sig,
+        fixed_signature=fixed_sig,
         symmetric=symmetric,
         unimodular=abs(det) == 1,
         even=all(row[i] % 2 == 0 for i, row in enumerate(g)),
         # the sparse action leads each product: aT g a = aT (aT gT)T
         isometry=at @ (at @ gt).T == g,
-        order3=a @ (a @ a) == linalg.identity(L.rank),
+        order3=order3,
+        decomposition=dec,
         notes=(TORSION_NOTE,),
     )
 
 
 @lru_cache(maxsize=8)
 def _action_minus_identity(L: GLattice) -> Matrix:
-    return L.action - linalg.identity(L.rank)  # read by fixed_sublattice and module_decomposition
+    return L.action - linalg.identity(L.rank)
 
 
 def fixed_sublattice(L: GLattice) -> tuple[Matrix, Matrix]:
@@ -263,42 +282,19 @@ def signature(mat) -> tuple[int, int, int]:
     return linalg.inertia(mat)
 
 
-@lru_cache(maxsize=8)
-def signatures(L: GLattice) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Inertia of the form and of the form restricted to the fixed sublattice.
-
-    The form's inertia comes from the audit; raises ValueError when the
-    form is not symmetric.
-    """
-    sig = verify_lattice(L).signature
-    if sig is None:
-        raise ValueError("inertia needs a symmetric matrix")
-    return sig, signature(fixed_sublattice(L)[1])
-
-
 _ORDER_ERROR = "action has order != 3 or internal bug"
 
 
-@lru_cache(maxsize=8)
 def module_decomposition(L: GLattice) -> ModuleDecomposition:
-    """Split the action module as a*Z + b*Z[zeta] + c*Z[G].
+    """The split a*Z + b*Z[zeta] + c*Z[G] of the action module, read from the audit.
 
-    By Reiner, these three are the only indecomposable integral
-    representations of the cyclic group of order 3; they add (1, 2, 3)
-    to the rank n, (1, -1, 0) to tr(g) and (0, 1, 2) to r, the rank of
-    g - 1 over F_3.  So there are b + c = (n - tr(g))/3 rotation planes,
-    c = r - (b + c) and a = tr(g) + b.
+    Raises ValueError when the action fails order 3 or a count comes out
+    negative (see verify_lattice for the derivation).
     """
-    if not verify_lattice(L).order3:
+    dec = verify_lattice(L).decomposition
+    if dec is None:
         raise ValueError(_ORDER_ERROR)
-    trace = L.trace
-    planes = (L.rank - trace) // 3
-    c = linalg.rank_mod3(_action_minus_identity(L)) - planes
-    b = planes - c
-    a = trace + b
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError(_ORDER_ERROR)
-    return ModuleDecomposition(a, b, c)
+    return dec
 
 
 def g_signature_of_lattice(L: GLattice) -> int:
@@ -309,7 +305,10 @@ def g_signature_of_lattice(L: GLattice) -> int:
     with Sign^G the signature of the restricted form on the fixed
     sublattice.  Expects a lattice that passes verify_lattice.
     """
-    (pos, neg, null), (fpos, fneg, fnull) = signatures(L)
+    report = verify_lattice(L)
+    if report.signature is None:
+        raise ValueError("inertia needs a symmetric matrix")
+    (pos, neg, null), (fpos, fneg, fnull) = report.signature, report.fixed_signature
     if null or fnull:
         raise ValueError("inconsistent eigenstructure: degenerate form")
     total = 3 * (fpos - fneg) - (pos - neg)

@@ -1,5 +1,6 @@
 """Lattice constructions, invariants and realization checks."""
 
+import itertools
 import random
 
 import numpy as np
@@ -114,6 +115,20 @@ def test_three_h_torus_trace_matches_exterior_square_identity():
     assert three_h_torus().trace == ((-2) ** 2 - (-2)) // 2
 
 
+def test_three_h_torus_gram_is_the_orientation_pairing():
+    # alpha.beta is the coefficient of e1^e2^e3^e4 in alpha^beta: the parity
+    # of the permutation that sorts the four indices, 0 when one repeats
+    pairs = list(itertools.combinations(range(4), 2))
+
+    def wedge(p, q):
+        seq = p + q
+        if len(set(seq)) < 4:
+            return 0
+        return (-1) ** sum(x > y for x, y in itertools.combinations(seq, 2))
+
+    assert three_h_torus().gram.tolist() == [[wedge(p, q) for q in pairs] for p in pairs]
+
+
 def test_direct_sum():
     h = hyperbolic()
     hh = direct_sum(h, h)
@@ -164,6 +179,27 @@ def test_verify_lattice_flags_non_isometry():
     report = verify_lattice(GLattice(L.gram, perm, label="bad action"))
     assert not report.isometry
     assert not report.passed
+
+
+def test_one_record_audits_a_fresh_lattice_once():
+    # verify_lattice is the one per-lattice store: the record and the checks
+    # read it, and the module's readers agree with its fields
+    from k3z3 import cli, lattice
+
+    t = action_type("B")
+    L = assemble_type_lattice(t)  # fresh, so nothing is cached for it
+    before = lattice.verify_lattice.cache_info().misses
+    assert cli._verification_record(t, L)["_passed"]
+    assert lattice.verify_lattice.cache_info().misses == before + 1
+    report = verify_lattice(L)
+    assert report.decomposition == module_decomposition(L)
+    assert report.fixed_signature == signature(fixed_sublattice(L)[1]) == (1, 7, 0)
+    non_symmetric = verify_lattice(GLattice([[0, 1], [2, 0]], [[0, -1], [1, -1]]))
+    assert non_symmetric.signature is non_symmetric.fixed_signature is None
+    assert non_symmetric.decomposition == (0, 1, 0)
+    rot4 = verify_lattice(GLattice([[1, 0], [0, 1]], [[0, -1], [1, 0]]))
+    assert not rot4.order3 and rot4.decomposition is None
+    assert rot4.fixed_signature == (0, 0, 0)
 
 
 def test_glattice_constructor_guards():

@@ -96,3 +96,12 @@ def test_verify_record_runs_no_import_statement():
     lattice = ast.parse((src / "lattice.py").read_text())
     functions = [node for node in ast.walk(lattice) if isinstance(node, ast.FunctionDef)]
     assert functions and [f.name for f in (record, *functions) if imports(f)] == []
+
+
+def test_lattice_keeps_one_audit_cache_per_lattice():
+    # the checks read verify_lattice rather than caching results of their own;
+    # g - 1 is cached so that the fixed sublattice and the rank mod 3 share it
+    from k3z3 import lattice
+
+    cached = sorted(name for name, obj in vars(lattice).items() if hasattr(obj, "cache_info"))
+    assert cached == ["_action_minus_identity", "gamma16", "verify_lattice"]
