@@ -227,12 +227,13 @@ def verify_lattice(L: GLattice) -> LatticeReport:
     at, gt = a.T, g.T
     symmetric = g == gt
     if symmetric:
-        # one symmetric elimination gives both the inertia and the determinant
-        sig, det = linalg.inertia_and_determinant(g)
+        # one unguarded symmetric elimination gives the inertia and the determinant
+        sig, det = linalg._inertia_and_determinant(linalg.int_rows(g))
         fixed_sig = signature(fixed_sublattice(L)[1])
+        gt = g  # the isometry reads g itself
     else:
         sig, det, fixed_sig = None, linalg.bareiss_determinant(g), None
-    order3 = a @ (a @ a) == linalg.identity(L.rank)
+    order3 = linalg.cube_is_identity(a)
     dec = None
     if order3:
         trace = L.trace
@@ -260,7 +261,10 @@ def verify_lattice(L: GLattice) -> LatticeReport:
 
 @lru_cache(maxsize=8)
 def _action_minus_identity(L: GLattice) -> Matrix:
-    return L.action - linalg.identity(L.rank)
+    rows = [list(row) for row in L.action]
+    for i, row in enumerate(rows):
+        row[i] -= 1
+    return linalg._matrix(rows, L.rank)
 
 
 def fixed_sublattice(L: GLattice) -> tuple[Matrix, Matrix]:

@@ -14,11 +14,14 @@ Each kernel reads its argument as a `Matrix`, or copies it once to
 fresh rows (`int_rows`, which checks only what is not a `Matrix`) that
 it reduces in place; the symmetric elimination keeps one triangle of
 the block left at each step, the rank mod 3 each row's nonzero
-residues.  Matrices that are kept or handed back (the GLattice forms,
-the Smith form and the kernels) are `Matrix` values: immutable, exact,
-and with only the arithmetic the callers use.
+residues, the rational kernel each kept row's nonzero entries.
+Matrices that are kept or handed back (the GLattice forms, the Smith
+form and the kernels) are `Matrix` values: immutable, exact, and with
+only the arithmetic the callers use.
 A product costs one row operation per nonzero entry of its left factor,
-so callers write the sparse factor (a basis-changed action) first.
+so callers write the sparse factor (a basis-changed action) first; the
+order-3 check multiplies rows packed into one integer each, in base 2^k
+wide enough (2^(k - 1) > n^2 |a|^3 + 1) that no entry of a^3 - 1 carries.
 Being immutable, `identity(n)` is built once per n and shared by every
 caller.  No floating point and no `fractions` enter.
 """
@@ -156,6 +159,27 @@ def block_diag(a, b) -> Matrix:
     a, b = Matrix(a), Matrix(b)
     na, nb = a.shape[1], b.shape[1]
     return _matrix([row + (0,) * nb for row in a] + [(0,) * na + row for row in b], na + nb)
+
+
+def cube_is_identity(a) -> bool:
+    """Whether a @ a @ a is the identity, by products of packed sparse rows.
+
+    Row i of `a` packs to sum_j a_ij 2^(k j); two passes over the nonzero
+    entries of `a` give the packed rows of a^2 and a^3.  As n^2 |a|^3 + 1 <
+    2^(k - 1) bounds every entry of a^3 - 1 and balanced base-2^k digits
+    are unique, row i of a^3 is the unit row exactly when it packs to 2^(k i).
+    """
+    a = Matrix(a)
+    n, m = a.shape
+    if n != m:
+        raise ValueError(f"shape mismatch: {a.shape} @ {a.shape}")
+    rows = [[(j, row[j]) for j in compress(range(n), row)] for row in a]
+    big = max([abs(x) for row in rows for _, x in row], default=0)
+    k = (n * n * big**3 + 1).bit_length() + 1
+    packed = [sum(x << k * j for j, x in row) for row in rows]
+    for _ in range(2):
+        packed = [sum(x * packed[j] for j, x in row) for row in rows]
+    return all(p == 1 << k * i for i, p in enumerate(packed))
 
 
 def bareiss_determinant(a) -> int:
@@ -305,11 +329,12 @@ def rational_kernel(a) -> Matrix:
     part vanishes holds an integer relation among the columns, that is,
     a kernel vector.  The relations are triangular in the unit vectors,
     hence independent.  They span a full-rank sublattice of the integer
-    kernel, which need not be saturated.
+    kernel, which need not be saturated.  A kept row is a dict of its
+    nonzero entries, and a reduction subtracts only at those.
     """
     a = Matrix(a)
     n, m = a.shape
-    kept = []  # (pivot column, reduced row)
+    kept = []  # (pivot column, nonzero entries of the reduced row)
     kernel = []
     unit = identity(m)
     for k, col in enumerate(a.T):
@@ -319,7 +344,10 @@ def rational_kernel(a) -> Matrix:
             if x:
                 g = gcd(krow[piv], x)
                 p, x = krow[piv] // g, x // g
-                r = [p * u - x * v for u, v in zip(r, krow)]
+                if p != 1:
+                    r = [p * u for u in r]
+                for j, v in krow.items():
+                    r[j] -= x * v
         content = gcd(*r)
         if content > 1:
             r = [u // content for u in r]
@@ -327,7 +355,7 @@ def rational_kernel(a) -> Matrix:
         if piv is None:
             kernel.append(r[n:])
         else:
-            kept.append((piv, r))
+            kept.append((piv, {j: r[j] for j in compress(range(n + m), r)}))
     return _matrix(kernel, m).T
 
 
@@ -376,6 +404,12 @@ def inertia_and_determinant(a) -> tuple[tuple[int, int, int], int]:
     n = len(s)
     if any(len(row) != n for row in s) or any(map(ne, zip(*s), map(tuple, s))):
         raise ValueError("inertia needs a symmetric matrix")
+    return _inertia_and_determinant(s)
+
+
+def _inertia_and_determinant(s: list[list[int]]) -> tuple[tuple[int, int, int], int]:
+    """The elimination, unguarded: `s` is fresh rows of a symmetric form, reduced in place."""
+    n = len(s)
     pos = neg = null = 0
     prev = 1
     t = 0

@@ -15,7 +15,10 @@ saturated invariant lattice (a different route to the fixed form than
 the package's rational kernel).  The exact code is then required to
 agree.  `full_storage_inertia_and_determinant` is the package's earlier
 symmetric elimination, which kept and swapped the whole symmetric block:
-it pins the one-triangle version to the same pivots and results.
+it pins the one-triangle version to the same pivots and results.  In the
+same way `product_cube_is_identity` and `dense_rational_kernel` are the
+dense routes that the packed order-3 check and the sparse rational kernel
+replaced.
 Basis changes multiply the package's `Matrix` values, whose arithmetic
 test_linalg checks against numpy object arrays.
 """
@@ -30,7 +33,7 @@ import numpy as np
 
 from k3z3.cyclotomic import Cyclotomic, half_power, zeta_power
 from k3z3.fixed_data import FixedPointType
-from k3z3.linalg import Matrix
+from k3z3.linalg import Matrix, identity
 
 ZETA_C = complex(-0.5, math.sqrt(3) / 2)
 
@@ -207,6 +210,41 @@ def full_storage_inertia_and_determinant(a, pair_steps=None) -> tuple[tuple[int,
         prev = p
         t += 1
     return (pos, neg, null), 0 if null else prev
+
+
+def product_cube_is_identity(a) -> bool:
+    """The order-3 check by two dense products, as the audit ran it before
+    packed rows; a non-square `a` raises the ValueError of `a @ a`."""
+    a = Matrix(a)
+    return a @ (a @ a) == identity(len(a))
+
+
+def dense_rational_kernel(a) -> Matrix:
+    """The rational kernel as it was before sparse kept rows: every reduction
+    rewrites the whole row.  It pins the sparse version to the same
+    reductions and the same columns."""
+    a = Matrix(a)
+    n, m = a.shape
+    kept = []  # (pivot column, reduced row)
+    kernel = []
+    unit = identity(m)
+    for k, col in enumerate(a.T):
+        r = [*col, *unit[k]]
+        for piv, krow in kept:
+            x = r[piv]
+            if x:
+                g = math.gcd(krow[piv], x)
+                p, x = krow[piv] // g, x // g
+                r = [p * u - x * v for u, v in zip(r, krow)]
+        content = math.gcd(*r)
+        if content > 1:
+            r = [u // content for u in r]
+        piv = next((i for i in range(n) if r[i]), None)
+        if piv is None:
+            kernel.append(r[n:])
+        else:
+            kept.append((piv, r))
+    return Matrix(kernel, m).T
 
 
 def rational_inverse(a) -> np.ndarray:

@@ -234,16 +234,18 @@ def _count_calls(monkeypatch, module, names) -> dict:
 
 def test_verify_record_kernel_budget(monkeypatch):
     # the kernel budget of one record: two symmetric eliminations (the form,
-    # which also gives the determinant, and the fixed form), one rational
-    # kernel and one rank mod 3; each is computed once per lattice, however
-    # often the checks ask for it
+    # which also gives the determinant, and the fixed form; counted where
+    # both run, behind the symmetry guard or not), one order-3 check, one
+    # rational kernel and one rank mod 3; each is computed once per lattice,
+    # however often the checks ask for it
     from k3z3 import classify, linalg
 
     budget = {
         "smith_normal_form": 0,
         "integer_kernel": 0,
         "bareiss_determinant": 0,
-        "inertia_and_determinant": 2,
+        "_inertia_and_determinant": 2,
+        "cube_is_identity": 1,
         "rational_kernel": 1,
         "rank_mod3": 1,
     }
@@ -257,20 +259,16 @@ def test_verify_record_kernel_budget(monkeypatch):
 
 def test_verify_record_products_lead_with_the_sparse_factor(bench_common, monkeypatch):
     # a product costs one row operation per nonzero entry of its left factor,
-    # so each of a record's six products leads with the action, its transpose
+    # so each of a record's four products leads with the transposed action
     # or the transposed kernel basis; g - 1 is built once per lattice
     from k3z3 import classify, linalg
 
-    lefts, subtractions = [], []
-    matmul, sub = linalg.Matrix.__matmul__, linalg.Matrix.__sub__
+    lefts = []
+    matmul = linalg.Matrix.__matmul__
 
     def spy_matmul(self, other):
         lefts.append(self)
         return matmul(self, other)
-
-    def spy_sub(self, other):
-        subtractions.append(self)
-        return sub(self, other)
 
     inputs = [(t, lattice.assemble_type_lattice(t)) for t in classify.enumerate_action_types()]
     t, L = inputs[-1]
@@ -279,14 +277,14 @@ def test_verify_record_products_lead_with_the_sparse_factor(bench_common, monkey
     inputs.append((t, GLattice(gram, action, label="basis change")))
     for t, L in inputs:
         lefts.clear()
-        subtractions.clear()
+        misses = lattice._action_minus_identity.cache_info().misses
         with monkeypatch.context() as mp:
             mp.setattr(linalg.Matrix, "__matmul__", spy_matmul)
-            mp.setattr(linalg.Matrix, "__sub__", spy_sub)
             assert cli._verification_record(t, L)["_passed"]
-        assert (len(lefts), len(subtractions)) == (6, 1), L.label
+        assert len(lefts) == 4, L.label
+        assert lattice._action_minus_identity.cache_info().misses == misses + 1, L.label
         basis = linalg.rational_kernel(L.action - linalg.identity(L.rank))
-        assert all(left in (L.action, L.action.T, basis.T) for left in lefts), L.label
+        assert all(left in (L.action.T, basis.T) for left in lefts), L.label
 
 
 @pytest.fixture(scope="module")

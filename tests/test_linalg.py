@@ -10,9 +10,11 @@ import pytest
 from k3z3 import linalg
 
 from _oracles import (
+    dense_rational_kernel,
     elementary_divisors,
     full_storage_inertia_and_determinant,
     naive_determinant,
+    product_cube_is_identity,
     random_unimodular_pair,
 )
 
@@ -50,6 +52,7 @@ def test_every_kernel_validates_lists_and_matrices_alike():
         linalg.int_rows,
         linalg.bareiss_determinant,
         linalg.inertia_and_determinant,
+        linalg.cube_is_identity,
         linalg.rational_kernel,
         linalg.rank_mod3,
         linalg.smith_normal_form,
@@ -85,6 +88,8 @@ def test_matrix_results_hold_python_ints():
         for x in results:
             assert isinstance(x, linalg.Matrix)
             assert all(type(e) is int for row in x for e in row)
+        sq = linalg.Matrix(random_entry_types(rng, random_int_matrix(rng, n, n, span=2)), n)
+        assert linalg.cube_is_identity(sq) is (sq @ (sq @ sq) == linalg.identity(n))
         # int_rows hands out fresh lists: writing to them leaves `a` as it was
         frozen = a.tolist()
         rows = linalg.int_rows(a)
@@ -220,6 +225,108 @@ def test_rational_kernel_matches_sympy_nullspace():
         assert ker.shape == (m, len(sympy.Matrix(a.tolist()).nullspace()))
         assert a @ ker == linalg.Matrix([[0] * ker.shape[1]] * n, ker.shape[1])
         assert all(math.gcd(*col) == 1 for col in ker.T)
+
+
+def test_rational_kernel_matches_the_dense_route():
+    # the same reductions in the same order as when every reduction rewrote
+    # the whole row, so the same columns, on 0 x k, k x 0, zero columns,
+    # duplicate columns and rank-deficient matrices
+    rng = random.Random(181)
+    shapes = [(0, k) for k in range(9)] + [(k, 0) for k in range(9)]
+    shapes += [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(240)]
+    for trial, (n, m) in enumerate(shapes):
+        if n == 0 or m == 0:
+            a = linalg.Matrix([[]] * n, m)
+        elif trial % 3 == 0:
+            a = linalg.Matrix(random_int_matrix(rng, n, m, span=rng.choice((1, 4, 50))), m)
+        elif trial % 3 == 1:
+            # sparse, with zero columns and columns repeated up to sign
+            rows = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3)) for _ in range(m)] for _ in range(n)]
+            for _ in range(rng.randint(1, 3)):
+                j, k = rng.randrange(m), rng.randrange(m)
+                s = rng.choice((0, 1, -1, 2))
+                for row in rows:
+                    row[j] = s * row[k]
+            a = linalg.Matrix(rows, m)
+        else:
+            r = rng.randint(0, min(n, m))
+            left = linalg.Matrix(random_int_matrix(rng, n, r, span=3), r)
+            a = left @ linalg.Matrix(random_int_matrix(rng, r, m, span=3), m)
+        want = dense_rational_kernel(a)
+        got = linalg.rational_kernel(a)
+        assert (got, got.shape) == (want, want.shape), a
+        assert got == linalg.rational_kernel(a.tolist() if n else linalg.Matrix([], m))
+
+
+def _order3_block(rng):
+    # a 3-cycle, a rotation by zeta or a fixed line
+    return rng.choice(([[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[0, -1], [1, -1]], [[1]]))
+
+
+def test_cube_is_identity_matches_the_product_route():
+    assert linalg.cube_is_identity([]) and linalg.cube_is_identity([[1]])
+    assert linalg.cube_is_identity([[0, -1], [1, -1]])
+    assert not linalg.cube_is_identity([[-1]]) and not linalg.cube_is_identity([[0, 1], [1, 0]])
+    rng = random.Random(182)
+    cases = []
+    for _ in range(150):
+        n = rng.randint(0, 7)
+        cases.append(random_int_matrix(rng, n, n, span=rng.choice((1, 2, 6))))
+    for _ in range(150):
+        # order 3 in a random basis, and the same with one entry moved
+        a = linalg.Matrix([])
+        while len(a) < 8:
+            a = linalg.block_diag(a, _order3_block(rng))
+            u, uinv = random_unimodular_pair(rng, len(a), rng.randint(0, 12))
+            cases.append(uinv @ a @ u)
+            moved = (uinv @ a @ u).tolist()
+            moved[rng.randrange(len(a))][rng.randrange(len(a))] += rng.choice((-1, 1))
+            cases.append(moved)
+    for big in (1, 2, 3, 7, 100, 2**40):
+        # the bound n^2 |a|^3 + 1 is met: every entry +-big
+        for n in range(1, 7):
+            cases.append([[big] * n] * n)
+            cases.append([[-big] * n] * n)
+            cases.append([[rng.choice((-big, big)) for _ in range(n)] for _ in range(n)])
+    for a in cases:
+        assert linalg.cube_is_identity(a) is product_cube_is_identity(a), a
+    assert sum(map(product_cube_is_identity, cases)) > 150
+
+
+def test_cube_is_identity_sees_past_a_vector_that_a_fixes():
+    # row i of a = 1 + e_i (e_(i+1) - 2^w e_i)^T, with 1 - 2^w and 1 at
+    # columns i and i + 1, packs to 2^(w i) at width w: a fixes the packed
+    # unit vector, so a^3, which is not 1, does too.  The width must grow
+    # with the negative entry, and with n
+    for n in range(2, 9):
+        for w in range(1, 13):
+            for i in range(n - 1):
+                a = [[int(r == c) for c in range(n)] for r in range(n)]
+                a[i][i], a[i][i + 1] = 1 - 2**w, 1
+                assert not linalg.cube_is_identity(a), (n, w, i)
+
+
+def test_cube_is_identity_sees_a_carry_in_the_cube():
+    # a = [[1, 0], [V, Q]] with Q^3 = 1 cubes to 1 but for row 2, which is
+    # (8, -1, 1, 0, ...) and packs to 2^(3 * 2) at width 3: the width that a
+    # bound without the n^2 factor gives for entries in {-1, 0, 1}
+    q = [[1, 0, 1, 1, 1], [0, 0, -1, 0, 0], [0, 1, -1, 0, 0], [0, 0, 0, 0, -1], [0, 0, 0, 1, -1]]
+    v = ((1, -1), (1, -1), (1, 0), (1, 1), (1, -1))
+    a = linalg.Matrix([[1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0]] + [[*vi, *qi] for vi, qi in zip(v, q)])
+    cube = a @ (a @ a)
+    assert cube[2][:3] == (8, -1, 1) and cube[:2] + cube[3:] == linalg.identity(7)[:2] + linalg.identity(7)[3:]
+    for k in range(16):
+        assert not linalg.cube_is_identity(linalg.block_diag(a, linalg.identity(k))), k
+
+
+def test_cube_is_identity_needs_a_square_matrix():
+    for shape in ((1, 2), (2, 1), (0, 3), (3, 0), (2, 3)):
+        a = linalg.Matrix([[1] * shape[1]] * shape[0], shape[1])
+        with pytest.raises(ValueError) as products:
+            product_cube_is_identity(a)
+        with pytest.raises(ValueError, match="shape mismatch") as packed:
+            linalg.cube_is_identity(a)
+        assert str(packed.value) == str(products.value)
 
 
 def test_rank_mod3_examples():
