@@ -4,12 +4,12 @@ Every subcommand is a pure function of its flags: repeated invocations
 produce byte-identical output.  Exit codes: 0 on success, 1 when a
 verification check fails, 2 on malformed input and 3 on an internal
 error such as a failed self-check (2 and 3 with a one-line diagnostic
-on stderr).
+on stderr).  `argparse` is imported by `build_parser` only: building or
+rendering records loads no argument parser.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import TYPE_CHECKING
 
@@ -17,6 +17,8 @@ from . import lattice
 from .fixed_data import FixedPointData, dirac_coefficients, parse_fixed_data
 
 if TYPE_CHECKING:
+    import argparse
+
     from . import classify
 
 TYPE_NAMES = ("A0", "A1", "A2", "B")
@@ -223,6 +225,8 @@ def _cmd_gsig(args) -> tuple[int, str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only parsing a command line pays for it (and for gettext)
+
     parser = argparse.ArgumentParser(
         prog="k3z3",
         description="Exact invariants of pseudofree order-3 symmetries of the K3 surface.",

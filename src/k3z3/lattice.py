@@ -82,7 +82,7 @@ class ModuleDecomposition(namedtuple("ModuleDecomposition", "a b c")):
 
 def hyperbolic() -> GLattice:
     """Rank-2 hyperbolic plane with the identity action."""
-    return GLattice([[0, 1], [1, 0]], [[1, 0], [0, 1]], label="H")
+    return GLattice(linalg._matrix([[0, 1], [1, 0]], 2), linalg.identity(2), label="H")
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +113,8 @@ def gamma16(k: int) -> GLattice:
     for c in range(16):
         image = c if c >= 3 * k else c - 2 if c % 3 == 2 else c + 1
         perm[image][c] = 1
-    return GLattice(gram, perm, label=f"Gamma16(k={k})")
+    # closed-form ints, so the rows skip the check that user input gets
+    return GLattice(linalg._matrix(gram, 16), linalg._matrix(perm, 16), label=f"Gamma16(k={k})")
 
 
 def three_h_perm() -> GLattice:

@@ -356,7 +356,7 @@ def rational_kernel(a) -> Matrix:
             kernel.append(r[n:])
         else:
             kept.append((piv, {j: r[j] for j in compress(range(n + m), r)}))
-    return _matrix(kernel, m).T
+    return _matrix(zip(*kernel) if kernel else repeat((), m), len(kernel))
 
 
 def rank_mod3(a) -> int:

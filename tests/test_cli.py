@@ -43,6 +43,13 @@ def test_module_entry_point_subprocess():
     assert result.stderr == ""
 
 
+def test_cli_module_runs_as_a_script():
+    result = subprocess.run(
+        [sys.executable, "-m", "k3z3.cli", "classify"], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, CLASSIFY_TEXT, "")
+
+
 def test_error_diagnostics_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "k3z3", "dirac", "--mplus", "1", "--mminus", "1"],
@@ -420,6 +427,28 @@ def test_failing_lattice_records_are_pinned(name):
     assert rec == {**want, "_label": name}
 
 
+def test_failing_record_text_marks_each_failure():
+    forms, _ = FAILING["non_symmetric_isometry"]
+    rec = cli._verification_record(action_type("A1"), GLattice(**forms, label="bad"))
+    assert cli._render_verify_text(rec) == (
+        "type A1  [bad]\n"
+        "  rank             2\n"
+        "  det              -2\n"
+        "  symmetric        FAIL\n"
+        "  unimodular       FAIL\n"
+        "  even             FAIL\n"
+        "  isometry         pass\n"
+        "  order 3          FAIL\n"
+        "  signature        n/a\n"
+        "  fixed signature  n/a\n"
+        "  decomposition    n/a\n"
+        "  REP              FAIL\n"
+        "  GSF              FAIL\n"
+        "  Lefschetz        FAIL\n"
+        "  note: torsion condition skipped: redundant for order-3 actions\n"
+    )
+
+
 def test_every_bench_call_matches_the_expected_output(bench_common, capsys):
     # perfbench/common.py holds the calls and the checker
     assert len(bench_common.CALLS) == 23
@@ -524,6 +553,80 @@ def test_gsig_flag_validation():
     assert run_cli("gsig", "--data", "(1,2)x3", "--mplus", "1", "--mminus", "1") == (2, "")
     assert run_cli("gsig", "--mplus", "1") == (2, "")
     assert run_cli("gsig", "--data", "(1,2)x99") == (2, "")
+
+
+# the last stderr line of each malformed call: argparse's for what the parser
+# rejects, the handler's for what it rejects
+DIAGNOSTICS = {
+    (): "k3z3: error: the following arguments are required: command",
+    ("verify",): "k3z3 verify: error: one of the arguments --type --all is required",
+    ("dirac", "--mminus", "6"): "k3z3 dirac: error: the following arguments are required: --mplus",
+    ("smooth",): "k3z3 smooth: error: the following arguments are required: --type",
+    ("smooth", "--type", "A1", "--surface", "e2pq", "--p", "3"): (
+        "error: --surface e2pq requires --p and --q"
+    ),
+    ("gsig", "--mplus", "1"): "error: need --data or both --mplus and --mminus",
+    ("gsig", "--data", "(1,2)x3,(1,1)x6", "--mplus", "1"): (
+        "error: give either --data or --mplus/--mminus, not both"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", DIAGNOSTICS)
+def test_malformed_calls_name_their_fault(argv, capsys):
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err.splitlines()[-1] == DIAGNOSTICS[argv]
+
+
+# lines of each --help text, with runs of blanks read as one space
+HELP_LINES = {
+    (): {
+        "Exact invariants of pseudofree order-3 symmetries of the K3 surface.",
+        "{classify,verify,dirac,smooth,gsig}",
+        "classify enumerate the admissible action types",
+        "verify audit the rank-22 lattice model of a type",
+        "dirac equivariant Dirac index multiplicities",
+        "smooth smoothability verdict for a type on a surface",
+        "gsig g-signature of arbitrary fixed-point data",
+    },
+    ("classify",): {"--format {text,json,tsv}"},
+    ("verify",): {"--type {A0,A1,A2,B}", "--all", "--format {text,json}"},
+    ("dirac",): {"--mplus MPLUS", "--mminus MMINUS", "--format {text,json}"},
+    ("smooth",): {
+        "--type {A0,A1,A2,B}",
+        "--surface {standard,e2pq}",
+        "--p P",
+        "--q Q",
+        "--format {text,json}",
+    },
+    ("gsig",): {
+        '--data DATA fixed-point list such as "(1,2)x3,(1,1)x6"',
+        "--mplus MPLUS",
+        "--mminus MMINUS",
+        "--format {text,json}",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", HELP_LINES)
+def test_help_texts_exit_0(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # no help line wraps
+    assert run_cli(*argv, "--help") == (0, "")
+    lines = {" ".join(line.split()) for line in capsys.readouterr().out.splitlines()}
+    assert HELP_LINES[argv] <= lines
+
+
+def test_parser_defaults():
+    parse = cli.build_parser().parse_args
+    for argv in (
+        ["classify"],
+        ["verify", "--all"],
+        ["dirac", "--mplus", "3", "--mminus", "6"],
+        ["smooth", "--type", "A1"],
+        ["gsig"],
+    ):
+        assert parse(argv).format == "text", argv
+    assert parse(["smooth", "--type", "A1"]).surface == "standard"
 
 
 def test_unknown_flags_and_commands_exit_2(capsys):

@@ -67,6 +67,15 @@ def test_gamma16_matches_rational_basis_change(k):
     assert gamma16(k).action.tolist() == action.tolist()
 
 
+def test_closed_form_models_equal_the_checked_route():
+    # gamma16 and hyperbolic hand their computed rows over unchecked
+    for L in [*map(gamma16, range(6)), hyperbolic()]:
+        checked = GLattice(L.gram.tolist(), L.action.tolist())
+        for got, want in ((L.gram, checked.gram), (L.action, checked.action)):
+            assert type(got) is type(want) and got == want and got.shape == want.shape
+            assert all(type(x) is int for row in got for x in row)
+
+
 def test_gamma16_is_negative_definite():
     assert signature(gamma16(0).gram) == (0, 16, 0)
     assert gamma16(0).action == identity(16)

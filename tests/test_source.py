@@ -85,6 +85,19 @@ def test_each_subcommand_loads_only_what_it_runs():
         assert _fresh(code) == [f"0 {loaded}"], argv
 
 
+def test_argparse_loads_only_to_parse_a_command_line():
+    # records are built and rendered without argparse; run() still parses
+    code = (
+        "import sys\n"
+        "from k3z3 import classify, cli, lattice\n"
+        "for t in classify.enumerate_action_types():\n"
+        "    cli._render_verify_text(cli._verification_record(t, lattice.assemble_type_lattice(t)))\n"
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+        "print(cli.run(['classify'])[0], 'argparse' in sys.modules)\n"
+    )
+    assert _fresh(code) == ["[]", "0 True"]
+
+
 def test_verify_record_runs_no_import_statement():
     # a record is the verify_shallow op: the modules it reads are bound at import
     def imports(tree):
