@@ -6,8 +6,6 @@ signature, and the feasible fixed ranks on the positive cone cut the
 them together with their cohomological invariants.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -40,7 +38,7 @@ def _scaled_invariants(m_plus: int, m_minus: int) -> tuple[int, int]:
     return euler3, sign9
 
 
-def quotient_invariants(d: FixedPointData) -> tuple[Fraction, Fraction]:
+def quotient_invariants(d: FixedPointData) -> "tuple[Fraction, Fraction]":
     """Euler number and signature of the orbit space, exactly.
 
     chi(X/G) = (chi(X) + 2 #fixed)/3 and Sign(X/G) = (Sign(X) + 2 Sign(g))/3.

@@ -4,13 +4,16 @@ Every subcommand is a pure function of its flags: repeated invocations
 produce byte-identical output.  Exit codes: 0 on success, 1 when a
 verification check fails, 2 on malformed input and 3 on an internal
 error such as a failed self-check (2 and 3 with a one-line diagnostic
-on stderr).  `argparse` is imported by `build_parser` only: building or
-rendering records loads no argument parser.
+on stderr).  `run` reads a spelled-out call with a direct reader and
+hands any other argv, `--help` among them, to `build_parser`, the only
+importer of `argparse`: building or rendering records and every
+spelled-out call load no argument parser, and argparse stays the one
+source of help texts and of every diagnostic.  No module of the package
+imports `__future__`.
 """
 
-from __future__ import annotations
-
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import lattice
@@ -66,7 +69,7 @@ def _cmd_classify(args) -> tuple[int, str]:
 # verify
 
 
-def _verification_record(t: classify.ActionType, L: lattice.GLattice) -> dict:
+def _verification_record(t: "classify.ActionType", L: lattice.GLattice) -> dict:
     report = lattice.verify_lattice(L)
     sig, fsig, dec = report.signature, report.fixed_signature, report.decomposition
     record = {
@@ -224,7 +227,7 @@ def _cmd_gsig(args) -> tuple[int, str]:
 # driver
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     import argparse  # only parsing a command line pays for it (and for gettext)
 
     parser = argparse.ArgumentParser(
@@ -268,13 +271,82 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What `_read` accepts, per subcommand: its handler, each flag's (dest,
+# default, kind) and the flag sets of which a call names exactly one.  kind
+# is int, str, a tuple of choices, or None for a switch.  Tests hold this
+# table and build_parser to the same options.
+_FORMAT = ("format", "text", ("text", "json"))
+_COUNTS = {"--mplus": ("mplus", None, int), "--mminus": ("mminus", None, int)}
+_TYPE = {"--type": ("type_name", None, TYPE_NAMES)}
+_CALLS = {
+    "classify": (_cmd_classify, {"--format": ("format", "text", ("text", "json", "tsv"))}, ()),
+    "verify": (
+        _cmd_verify,
+        {**_TYPE, "--all": ("all", False, None), "--format": _FORMAT},
+        ({"--type", "--all"},),
+    ),
+    "dirac": (_cmd_dirac, {**_COUNTS, "--format": _FORMAT}, ({"--mplus"}, {"--mminus"})),
+    "smooth": (
+        _cmd_smooth,
+        {
+            **_TYPE,
+            "--surface": ("surface", "standard", ("standard", "e2pq")),
+            "--p": ("p", None, int),
+            "--q": ("q", None, int),
+            "--format": _FORMAT,
+        },
+        ({"--type"},),
+    ),
+    "gsig": (_cmd_gsig, {"--data": ("data", None, str), **_COUNTS, "--format": _FORMAT}, ()),
+}
+
+
+def _read(argv: list) -> SimpleNamespace | None:
+    """The namespace build_parser would give for `argv`, or None to decline."""
+    if not argv or argv[0] not in _CALLS:
+        return None
+    handler, flags, groups = _CALLS[argv[0]]
+    values = {dest: default for dest, default, _ in flags.values()}
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in flags or flag in seen:
+            return None
+        seen.add(flag)
+        dest, _, kind = flags[flag]
+        if kind is None:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-") or isinstance(kind, tuple) and value not in kind:
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:  # "²" and ints of over 4300 digits among them
+                return None
+        values[dest] = value
+    if any(len(seen & group) != 1 for group in groups):
+        return None
+    return SimpleNamespace(command=argv[0], handler=handler, **values)
+
+
 def run(argv=None) -> tuple[int, str]:
-    """Parse and execute; returns (exit_code, stdout text)."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already wrote its own message
-        return (exc.code if isinstance(exc.code, int) else 2), ""
+    """Parse and execute; returns (exit_code, stdout text).
+
+    The reader takes `<subcommand> (--flag value | --all)*` in which every
+    flag is spelled out in full and named at most once, no value starts
+    with `-`, every int and choice converts, and the required flags are
+    there (`verify`: exactly one of `--type` and `--all`).  Any other argv,
+    `--help`, abbreviations and `--flag=value` among them, goes to argparse.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse wrote its own message and exits 0 or 2
+            return exc.code, ""
     try:
         return args.handler(args)
     except ValueError as exc:

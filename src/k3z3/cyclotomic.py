@@ -7,8 +7,6 @@ The production path is fully exact; the only floating-point view of
 these numbers lives in the test suite.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

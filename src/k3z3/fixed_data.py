@@ -8,8 +8,6 @@ leaves exactly two local types.  A (+) point adds 1/3 and a (-) point
 and the equivariant Dirac multiplicities are closed forms in m+ - m-.
 """
 
-from __future__ import annotations
-
 import re
 from collections import namedtuple
 from enum import Enum
@@ -98,7 +96,7 @@ def parse_fixed_data(text: str) -> FixedPointData:
     return FixedPointData(counts[FixedPointType.PLUS], counts[FixedPointType.MINUS])
 
 
-def g_signature_of_data(d: FixedPointData) -> Fraction:
+def g_signature_of_data(d: FixedPointData) -> "Fraction":
     """Total g-signature defect of the data, (m_plus - m_minus)/3.
 
     A point of weights (a, b) adds (z^a+1)(z^b+1) / ((z^a-1)(z^b-1)),

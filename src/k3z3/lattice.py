@@ -9,8 +9,6 @@ splitting condition (REP), the g-signature formula (GSF) and the
 Lefschetz fixed-point count.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -335,7 +333,7 @@ def check_rep(L: GLattice, fixed_count: int) -> bool:
     return dec.b == 0 and dec.a == fixed_count - 2
 
 
-def check_gsf(L: GLattice, d: FixedPointData) -> bool:
+def check_gsf(L: GLattice, d: "FixedPointData") -> bool:
     """g-signature formula: the lattice g-signature is the defect sum (m+ - m-)/3.
 
     Checking g settles g^2 as well: the two fix the same sublattice, so
@@ -360,7 +358,7 @@ def _three_h_trivial() -> GLattice:
     return direct_sum(direct_sum(h, h), h, label="3H(trivial)")
 
 
-def assemble_type_lattice(t: ActionType) -> GLattice:
+def assemble_type_lattice(t: "ActionType") -> GLattice:
     """The rank-22 model realizing a classified action type."""
     if t.name == "A0":
         lhs, rhs = three_h_torus(), gamma16(5)

@@ -26,8 +26,6 @@ Being immutable, `identity(n)` is built once per n and shared by every
 caller.  No floating point and no `fractions` enter.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd
@@ -56,7 +54,7 @@ class Matrix(tuple):
         raise AttributeError(f"cannot delete field {name!r}")
 
     @property
-    def T(self) -> Matrix:
+    def T(self) -> "Matrix":
         n, m = self.shape
         return _matrix(zip(*self) if n else repeat((), m), n)
 

@@ -7,8 +7,6 @@ Spin^c structure to vanish mod 3.  For smooth structures whose value of
 that invariant is known to be +-1, such an action cannot be smooth.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from enum import Enum
 from math import gcd

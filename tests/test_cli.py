@@ -322,20 +322,20 @@ def test_verify_record_reaches_every_traced_name(bench_common, monkeypatch):
         assert name == "matmul3" or callable(getattr(linalg, name, None)), name
 
 
-def test_deep_records_match_the_smith_kernel_route(bench_common, monkeypatch):
+def test_deep_records_match_the_smith_kernel_route(monkeypatch):
     # 128-step basis changes of each model and one perturbed input: the
     # fixed form from the rational kernel gives the record that the
     # saturated Smith-form kernel gives
     from k3z3 import classify, linalg
 
-    from _oracles import saturated_fixed_sublattice
+    from _oracles import congruence, saturated_fixed_sublattice
 
     rng = random.Random(128)
     inputs = []
     for t in classify.enumerate_action_types():
         L = lattice.assemble_type_lattice(t)
         gram, action = L.gram.tolist(), L.action.tolist()
-        bench_common._congruence(gram, action, rng, 128)
+        congruence(gram, action, rng, 128)
         inputs.append((t, gram, action))
     t, gram, action = inputs[-1]
     action = [row[:] for row in action]
@@ -347,6 +347,41 @@ def test_deep_records_match_the_smith_kernel_route(bench_common, monkeypatch):
     for rec, (t, gram, action) in zip(records, inputs):
         assert rec == cli._verification_record(t, GLattice(gram, action))  # fresh, so recomputed
         assert rec["det"] == linalg.bareiss_determinant(gram)
+
+
+# sha256 over the records of the seeded benchmark stream (seed 1), one
+# compact JSON list of RECORD_KEYS per record: (steps, inputs) -> digest
+RECORD_KEYS = (
+    "type rank det even isometry order3 signature fixed_signature decomposition "
+    "rep gsf lefschetz _passed"
+).split()
+RECORD_DIGESTS = {
+    (8, 300): "fdf8dfba8a7db7f04a10208b5b6e65da3070fd70699f77e66370a4fa160ff6e5",
+    (64, 60): "2c2de9a857ecc195d67737bfd8dd902446d7e84b215a45e6b98b960993e438f6",
+    (128, 60): "a8298bd6ef2341a1ba2c66b6aae32a6f0eca8ed663062cfb6550ba207c7c52b3",
+}
+
+
+def test_seeded_records_are_pinned():
+    # every field of every record, the perturbed tenth included, at three depths
+    import hashlib
+
+    from k3z3 import classify
+
+    from _oracles import seeded_lattice_inputs
+
+    types = {t.name: t for t in classify.enumerate_action_types()}
+    models = {}
+    for name, t in types.items():
+        L = lattice.assemble_type_lattice(t)
+        models[name] = (L.gram.tolist(), L.action.tolist())
+    for (steps, count), digest in RECORD_DIGESTS.items():
+        h = hashlib.sha256()
+        for name, gram, action in seeded_lattice_inputs(1, models, steps, count):
+            rec = cli._verification_record(types[name], GLattice(gram, action))
+            line = json.dumps([rec[k] for k in RECORD_KEYS], separators=(",", ":"))
+            h.update(f"{line}\n".encode())
+        assert h.hexdigest() == digest, steps
 
 
 def _a1_bumped(field):
@@ -627,6 +662,39 @@ def test_parser_defaults():
     ):
         assert parse(argv).format == "text", argv
     assert parse(["smooth", "--type", "A1"]).surface == "standard"
+
+
+def test_reader_table_matches_the_parser():
+    # a flag, default or required set added to build_parser and not to the
+    # reader's table, or the reverse, fails here
+    import argparse
+
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [a.dest for a in parser._actions] == ["help", "command"]
+    assert sub.choices.keys() == cli._CALLS.keys()
+    for name, p in sub.choices.items():
+        handler, flags, groups = cli._CALLS[name]
+        assert p._defaults == {"handler": handler}, name
+        options = {a.option_strings[-1]: a for a in p._actions if a.dest != "help"}
+        assert options.keys() == flags.keys(), name
+        for flag, a in options.items():
+            dest, default, kind = flags[flag]
+            choices = kind if isinstance(kind, tuple) else None
+            want = (dest, default, choices, kind if kind is int else None, kind is None)
+            assert (a.dest, a.default, a.choices, a.type, a.nargs == 0) == want, (name, flag)
+        required = [{flag} for flag, a in options.items() if a.required]
+        for group in p._mutually_exclusive_groups:
+            assert group.required, name
+            required.append({a.option_strings[-1] for a in group._group_actions})
+        assert sorted(map(sorted, required)) == sorted(map(sorted, groups)), name
+
+
+def test_reader_takes_every_passing_bench_call(bench_common):
+    for key, argv, _ in bench_common.PASSING:
+        args = cli._read(argv)
+        assert args is not None, key
+        assert vars(args) == vars(cli.build_parser().parse_args(argv)), key
 
 
 def test_unknown_flags_and_commands_exit_2(capsys):

@@ -57,3 +57,50 @@ def test_cli_exit_codes_under_fuzzed_argv(argv):
     assert code in (0, 1, 2), argv
     if code == 2:
         assert out == "", argv
+
+
+def _reader_agrees(argv) -> bool:
+    """Whether the direct reader takes argv; when it does, argparse gives the same namespace."""
+    args = cli._read(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv)), argv
+    return args is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_reader_agrees_with_argparse(argv):
+    _reader_agrees(argv)
+
+
+def _dirac(mplus):
+    return ("dirac", "--mplus", mplus, "--mminus", "6")
+
+
+# argv -> whether the reader takes it; argparse has the last word on the rest
+EDGES = {
+    _dirac("+3"): True,
+    _dirac(" 3"): True,
+    _dirac("３"): True,  # full-width 3
+    _dirac("-3"): False,
+    _dirac("²"): False,  # superscript 2: isdigit, but int() refuses it
+    _dirac("9" * 5000): False,  # past int()'s digit limit
+    ("dirac", "--mplus", "3", "--mplus", "3", "--mminus", "6"): False,
+    ("classify", "--format=json"): False,
+    ("classify", "--form", "json"): False,
+    ("verify", "--type", "A0", "--all"): False,
+    ("verify", "--all", "--all"): False,
+    ("gsig", "--data"): False,
+    ("smooth",): False,
+}
+EDGES.update(
+    {argv[:i] + ("-h",) + argv[i:]: False for argv in WELL_FORMED for i in range(len(argv) + 1)}
+)
+
+
+@pytest.mark.parametrize("argv", [*WELL_FORMED, *EDGES])
+def test_reader_edge_cases(argv, capsys):
+    assert _reader_agrees(list(argv)) == EDGES.get(argv, True)
+    code, out = cli.run(list(argv))
+    assert code in (0, 1, 2) and (code != 2 or out == "")
+    capsys.readouterr()

@@ -86,16 +86,46 @@ def test_each_subcommand_loads_only_what_it_runs():
 
 
 def test_argparse_loads_only_to_parse_a_command_line():
-    # records are built and rendered without argparse; run() still parses
+    # records and spelled-out calls load no argument parser, nor gettext or
+    # locale; --help and an argv the reader declines go through argparse
+    parsing = "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
     code = (
         "import sys\n"
         "from k3z3 import classify, cli, lattice\n"
         "for t in classify.enumerate_action_types():\n"
         "    cli._render_verify_text(cli._verification_record(t, lattice.assemble_type_lattice(t)))\n"
-        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
-        "print(cli.run(['classify'])[0], 'argparse' in sys.modules)\n"
+        f"{parsing}"
+        "for argv in (['classify', '--format', 'json'], ['verify', '--all'],\n"
+        "             ['dirac', '--mplus', '3', '--mminus', '6'], ['gsig', '--data', '(1,2)x3'],\n"
+        "             ['smooth', '--type', 'A1', '--surface', 'e2pq', '--p', '3', '--q', '7']):\n"
+        "    print(cli.run(argv)[0], end=' ')\n"
+        f"{parsing}"
     )
-    assert _fresh(code) == ["[]", "0 True"]
+    assert _fresh(code) == ["[]", "0 0 0 0 0 []"]
+    for argv, exit_code in ((["--help"], 0), (["verify", "--type", "Q"], 2)):
+        code = (
+            "import sys\nfrom k3z3 import cli\n"
+            f"print(cli.run({argv!r})[0], 'argparse' in sys.modules)\n"
+        )
+        assert _fresh(code)[-1] == f"{exit_code} True", argv
+
+
+def test_no_module_imports_future():
+    # `from __future__ import annotations` imports the __future__ module at run time
+    code = "import sys\nfrom k3z3 import classify, cli, lattice\nprint('__future__' in sys.modules)\n"
+    assert _fresh(code) == ["False"]
+    argv = [sys.executable, "-X", "importtime", "-m", "k3z3", "classify"]
+    result = subprocess.run(argv, capture_output=True, text=True)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    assert result.returncode == 0 and "k3z3.cli" in imported
+    assert not {"__future__", "argparse"} & imported
+    future = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__"
+    ]
+    assert future == []
 
 
 def test_verify_record_runs_no_import_statement():
