@@ -613,9 +613,11 @@ def test_malformed_calls_name_their_fault(argv, capsys):
     assert capsys.readouterr().err.splitlines()[-1] == DIAGNOSTICS[argv]
 
 
-# lines of each --help text, with runs of blanks read as one space
+# lines of each --help text, its usage line first, with runs of blanks read
+# as one space
 HELP_LINES = {
     (): {
+        "usage: k3z3 [-h] {classify,verify,dirac,smooth,gsig} ...",
         "Exact invariants of pseudofree order-3 symmetries of the K3 surface.",
         "{classify,verify,dirac,smooth,gsig}",
         "classify enumerate the admissible action types",
@@ -624,10 +626,25 @@ HELP_LINES = {
         "smooth smoothability verdict for a type on a surface",
         "gsig g-signature of arbitrary fixed-point data",
     },
-    ("classify",): {"--format {text,json,tsv}"},
-    ("verify",): {"--type {A0,A1,A2,B}", "--all", "--format {text,json}"},
-    ("dirac",): {"--mplus MPLUS", "--mminus MMINUS", "--format {text,json}"},
+    ("classify",): {
+        "usage: k3z3 classify [-h] [--format {text,json,tsv}]",
+        "--format {text,json,tsv}",
+    },
+    ("verify",): {
+        "usage: k3z3 verify [-h] (--type {A0,A1,A2,B} | --all) [--format {text,json}]",
+        "--type {A0,A1,A2,B}",
+        "--all",
+        "--format {text,json}",
+    },
+    ("dirac",): {
+        "usage: k3z3 dirac [-h] --mplus MPLUS --mminus MMINUS [--format {text,json}]",
+        "--mplus MPLUS",
+        "--mminus MMINUS",
+        "--format {text,json}",
+    },
     ("smooth",): {
+        "usage: k3z3 smooth [-h] --type {A0,A1,A2,B} [--surface {standard,e2pq}] [--p P] [--q Q]"
+        " [--format {text,json}]",
         "--type {A0,A1,A2,B}",
         "--surface {standard,e2pq}",
         "--p P",
@@ -635,6 +652,7 @@ HELP_LINES = {
         "--format {text,json}",
     },
     ("gsig",): {
+        "usage: k3z3 gsig [-h] [--data DATA] [--mplus MPLUS] [--mminus MMINUS] [--format {text,json}]",
         '--data DATA fixed-point list such as "(1,2)x3,(1,1)x6"',
         "--mplus MPLUS",
         "--mminus MMINUS",
@@ -645,7 +663,7 @@ HELP_LINES = {
 
 @pytest.mark.parametrize("argv", HELP_LINES)
 def test_help_texts_exit_0(argv, capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "100")  # no help line wraps
+    monkeypatch.setenv("COLUMNS", "200")  # no help or usage line wraps
     assert run_cli(*argv, "--help") == (0, "")
     lines = {" ".join(line.split()) for line in capsys.readouterr().out.splitlines()}
     assert HELP_LINES[argv] <= lines
