@@ -4,11 +4,11 @@ Every subcommand is a pure function of its flags: repeated invocations
 produce byte-identical output.  Exit codes: 0 on success, 1 when a
 verification check fails, 2 on malformed input and 3 on an internal
 error such as a failed self-check (2 and 3 with a one-line diagnostic
-on stderr).  `run` reads a spelled-out call with a direct reader and
-hands any other argv, `--help` among them, to `build_parser`, the only
-importer of `argparse`: building or rendering records and every
-spelled-out call load no argument parser, and argparse stays the one
-source of help texts and of every diagnostic.  No module of the package
+on stderr).  `_CALLS` is the one declaration of the command line: `_read`
+reads spelled-out calls from it, and `build_parser`, the only importer of
+`argparse`, renders it for every other argv, `--help` among them, so that
+records and spelled-out calls load no argument parser while argparse stays
+the one source of help texts and diagnostics.  No module of the package
 imports `__future__`.
 """
 
@@ -122,7 +122,7 @@ def _render_verify_text(rec: dict) -> str:
         f"  REP              {_fmt_check(rec['rep'])}",
         f"  GSF              {_fmt_check(rec['gsf'])}",
         f"  Lefschetz        {_fmt_check(rec['lefschetz'])}",
-        f"  note: {lattice.TORSION_NOTE}",
+        "  note: torsion condition skipped: redundant for order-3 actions",
     ]
     return "\n".join(lines) + "\n"
 
@@ -227,6 +227,56 @@ def _cmd_gsig(args) -> tuple[int, str]:
 # driver
 
 
+# The command line: per subcommand, its handler, its help text, each flag's
+# (dest, default, kind, help) and the flag sets of which a call names exactly
+# one.  kind is int, str, a tuple of choices, or None for a switch.
+_FORMAT = ("format", "text", ("text", "json"), None)
+_COUNTS = {"--mplus": ("mplus", None, int, None), "--mminus": ("mminus", None, int, None)}
+_TYPE = {"--type": ("type_name", None, TYPE_NAMES, None)}
+_CALLS = {
+    "classify": (
+        _cmd_classify,
+        "enumerate the admissible action types",
+        {"--format": ("format", "text", ("text", "json", "tsv"), None)},
+        (),
+    ),
+    "verify": (
+        _cmd_verify,
+        "audit the rank-22 lattice model of a type",
+        {**_TYPE, "--all": ("all", False, None, None), "--format": _FORMAT},
+        ({"--type", "--all"},),
+    ),
+    "dirac": (
+        _cmd_dirac,
+        "equivariant Dirac index multiplicities",
+        {**_COUNTS, "--format": _FORMAT},
+        ({"--mplus"}, {"--mminus"}),
+    ),
+    "smooth": (
+        _cmd_smooth,
+        "smoothability verdict for a type on a surface",
+        {
+            **_TYPE,
+            "--surface": ("surface", "standard", ("standard", "e2pq"), None),
+            "--p": ("p", None, int, None),
+            "--q": ("q", None, int, None),
+            "--format": _FORMAT,
+        },
+        ({"--type"},),
+    ),
+    "gsig": (
+        _cmd_gsig,
+        "g-signature of arbitrary fixed-point data",
+        {
+            "--data": ("data", None, str, 'fixed-point list such as "(1,2)x3,(1,1)x6"'),
+            **_COUNTS,
+            "--format": _FORMAT,
+        },
+        (),
+    ),
+}
+
+
 def build_parser() -> "argparse.ArgumentParser":
     import argparse  # only parsing a command line pays for it (and for gettext)
 
@@ -235,85 +285,36 @@ def build_parser() -> "argparse.ArgumentParser":
         description="Exact invariants of pseudofree order-3 symmetries of the K3 surface.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="enumerate the admissible action types")
-    p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("verify", help="audit the rank-22 lattice model of a type")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--type", choices=TYPE_NAMES, dest="type_name")
-    group.add_argument("--all", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("dirac", help="equivariant Dirac index multiplicities")
-    p.add_argument("--mplus", type=int, required=True)
-    p.add_argument("--mminus", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=_cmd_dirac)
-
-    p = sub.add_parser("smooth", help="smoothability verdict for a type on a surface")
-    p.add_argument("--type", choices=TYPE_NAMES, required=True, dest="type_name")
-    p.add_argument("--surface", choices=("standard", "e2pq"), default="standard")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=_cmd_smooth)
-
-    p = sub.add_parser("gsig", help="g-signature of arbitrary fixed-point data")
-    p.add_argument("--data", help='fixed-point list such as "(1,2)x3,(1,1)x6"')
-    p.add_argument("--mplus", type=int, default=None)
-    p.add_argument("--mminus", type=int, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=_cmd_gsig)
-
+    # argparse's keywords for each kind of flag but a tuple of choices
+    keywords = {None: {"action": "store_true"}, int: {"type": int}, str: {}}
+    for name, (handler, summary, flags, groups) in _CALLS.items():
+        p = sub.add_parser(name, help=summary)
+        owner = dict.fromkeys(flags, p)
+        for group in groups:  # one flag is a required flag, more an exclusive group
+            if len(group) > 1:
+                owner.update(dict.fromkeys(group, p.add_mutually_exclusive_group(required=True)))
+        for flag, (dest, default, kind, text) in flags.items():
+            kw = dict(keywords.get(kind, {"choices": kind}), dest=dest, default=default, help=text)
+            owner[flag].add_argument(flag, required={flag} in groups, **kw)
+        p.set_defaults(handler=handler)
     return parser
 
 
-# What `_read` accepts, per subcommand: its handler, each flag's (dest,
-# default, kind) and the flag sets of which a call names exactly one.  kind
-# is int, str, a tuple of choices, or None for a switch.  Tests hold this
-# table and build_parser to the same options.
-_FORMAT = ("format", "text", ("text", "json"))
-_COUNTS = {"--mplus": ("mplus", None, int), "--mminus": ("mminus", None, int)}
-_TYPE = {"--type": ("type_name", None, TYPE_NAMES)}
-_CALLS = {
-    "classify": (_cmd_classify, {"--format": ("format", "text", ("text", "json", "tsv"))}, ()),
-    "verify": (
-        _cmd_verify,
-        {**_TYPE, "--all": ("all", False, None), "--format": _FORMAT},
-        ({"--type", "--all"},),
-    ),
-    "dirac": (_cmd_dirac, {**_COUNTS, "--format": _FORMAT}, ({"--mplus"}, {"--mminus"})),
-    "smooth": (
-        _cmd_smooth,
-        {
-            **_TYPE,
-            "--surface": ("surface", "standard", ("standard", "e2pq")),
-            "--p": ("p", None, int),
-            "--q": ("q", None, int),
-            "--format": _FORMAT,
-        },
-        ({"--type"},),
-    ),
-    "gsig": (_cmd_gsig, {"--data": ("data", None, str), **_COUNTS, "--format": _FORMAT}, ()),
-}
-
-
 def _read(argv: list) -> SimpleNamespace | None:
-    """The namespace build_parser would give for `argv`, or None to decline."""
+    """The namespace build_parser would give for `argv`, or None to decline:
+    every flag spelled out and named at most once, no value starting with
+    `-`, every int and choice converting and each required set met."""
     if not argv or argv[0] not in _CALLS:
         return None
-    handler, flags, groups = _CALLS[argv[0]]
-    values = {dest: default for dest, default, _ in flags.values()}
+    handler, _, flags, groups = _CALLS[argv[0]]
+    values = {dest: default for dest, default, _, _ in flags.values()}
     seen = set()
     tokens = iter(argv[1:])
     for flag in tokens:
         if flag not in flags or flag in seen:
             return None
         seen.add(flag)
-        dest, _, kind = flags[flag]
+        dest, _, kind, _ = flags[flag]
         if kind is None:
             values[dest] = True
             continue
@@ -332,14 +333,9 @@ def _read(argv: list) -> SimpleNamespace | None:
 
 
 def run(argv=None) -> tuple[int, str]:
-    """Parse and execute; returns (exit_code, stdout text).
-
-    The reader takes `<subcommand> (--flag value | --all)*` in which every
-    flag is spelled out in full and named at most once, no value starts
-    with `-`, every int and choice converts, and the required flags are
-    there (`verify`: exactly one of `--type` and `--all`).  Any other argv,
-    `--help`, abbreviations and `--flag=value` among them, goes to argparse.
-    """
+    """Parse and execute; returns (exit_code, stdout text).  Any argv that
+    `_read` declines, `--help`, abbreviations and `--flag=value` among them,
+    goes to argparse."""
     argv = sys.argv[1:] if argv is None else argv
     args = _read(argv)
     if args is None:

