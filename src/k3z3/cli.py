@@ -2,27 +2,33 @@
 
 Every subcommand is a pure function of its flags: repeated invocations
 produce byte-identical output.  Exit codes: 0 on success, 1 when a
-verification check fails, 2 on malformed input and 3 on an internal
-error such as a failed self-check (2 and 3 with a one-line diagnostic
-on stderr).  `_CALLS` is the one declaration of the command line: `_read`
-reads spelled-out calls from it, and `build_parser`, the only importer of
-`argparse`, renders it for every other argv, `--help` among them, so that
-records and spelled-out calls load no argument parser while argparse stays
-the one source of help texts and diagnostics.  No module of the package
-imports `__future__`.
+verification check fails or the output cannot be written, 2 on malformed
+input and 3 on an internal error such as a failed self-check (a failed
+write, 2 and 3 with a one-line diagnostic on stderr).  `_CALLS` is the one
+declaration of the command line: `_read` reads spelled-out calls from it,
+and `build_parser`, the only importer of `argparse`, renders it for every
+other argv, `--help` among them, so that records and spelled-out calls load
+no argument parser while argparse stays the one source of help texts and
+diagnostics.  No module of the package imports `__future__`.
+
+`run` and `main` return to their caller.  A process started for one call,
+`python -m k3z3`, `python -m k3z3.cli` or the `k3z3` script, ends through
+`process_main`: the output is flushed, the atexit handlers run, and
+`os._exit` skips the interpreter's teardown.
 """
 
+import atexit
+import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
-from . import lattice
 from .fixed_data import FixedPointData, dirac_coefficients, parse_fixed_data
 
 if TYPE_CHECKING:
     import argparse
 
-    from . import classify
+    from . import classify, lattice
 
 TYPE_NAMES = ("A0", "A1", "A2", "B")
 
@@ -69,7 +75,8 @@ def _cmd_classify(args) -> tuple[int, str]:
 # verify
 
 
-def _verification_record(t: "classify.ActionType", L: lattice.GLattice) -> dict:
+def _verification_record(t: "classify.ActionType", L: "lattice.GLattice") -> dict:
+    lattice = sys.modules[f"{__package__}.lattice"]  # loaded by whoever built L: no import here
     report = lattice.verify_lattice(L)
     sig, fsig, dec = report.signature, report.fixed_signature, report.decomposition
     record = {
@@ -128,7 +135,7 @@ def _render_verify_text(rec: dict) -> str:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
-    from . import classify
+    from . import classify, lattice  # only verify loads lattice and linalg
 
     names = list(TYPE_NAMES) if args.all else [args.type_name]
     records = []
@@ -354,11 +361,36 @@ def run(argv=None) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
+    """Run and write the output; returns the exit code, 1 if stdout cannot
+    take the output (a closed pipe, a full disk)."""
     code, out = run(argv)
-    if out:
+    try:
         sys.stdout.write(out)
+        sys.stdout.flush()  # so that a failed write shows here, not after the return
+    except OSError as exc:
+        try:
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        except OSError:
+            pass
+        return 1
     return code
 
 
+def process_main() -> NoReturn:
+    """`main` as a whole process: once it has written its output, run the
+    atexit handlers (coverage's data save among them), flush what they wrote
+    and leave by `os._exit`.  That skips the interpreter's teardown, a GC
+    pass over every module `site` loaded, which would only run after the
+    output is written."""
+    code = main()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # the output main could not write is still buffered
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

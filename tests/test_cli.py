@@ -1,14 +1,18 @@
 """CLI behaviour: deterministic output, documented formats, exit codes.
 
-Most tests drive the in-process entry point cli.run (the subprocess
-boundary is exercised once for the module and once for error output).
+Most tests drive the in-process entry point cli.run; the subprocess tests
+run `python -m k3z3`, whose process ends through cli.process_main.
 """
 
+import errno
 import importlib.util
 import json
+import os
 import random
 import subprocess
 import sys
+import tomllib
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -59,6 +63,86 @@ def test_error_diagnostics_subprocess():
     assert result.returncode == 2
     assert result.stdout == ""
     assert "no consistent spin lift" in result.stderr
+
+
+def _processes(commands: list, env: dict) -> list:
+    """subprocess.run each (argv, stdout) of `commands` in `env`, two at a time."""
+
+    def one(command):
+        argv, stdout = command
+        return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(one, commands))
+
+
+def test_entry_point_gives_the_bench_calls_their_output(bench_common):
+    # one call of each family, a JSON record and an argparse diagnostic,
+    # through the process boundary and in the environment that cli_mix times
+    keys = (*bench_common.WARMUP, "verify_A0_json", "bad_verify_type")
+    cases = [(flag, key) for flag in ([], ["-O"]) for key in keys]
+    argvs = [[sys.executable, *flag, "-m", "k3z3", *bench_common.CALLS[key][0]] for flag, key in cases]
+    results = _processes([(argv, subprocess.PIPE) for argv in argvs], bench_common.child_env())
+    for (flag, key), result in zip(cases, results):
+        failure = bench_common.check_cli(key, result.returncode, result.stdout, result.stderr)
+        assert failure is None, (flag, key, failure)
+
+
+LIFT_ERROR = "error: fixed data admits no consistent spin lift: m+ - m- != 6 (mod 9)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["dirac", "--mplus", "3", "--mminus", "6"], 0, "k = (0, 1, 1)\n", ""),
+        (["dirac", "--mplus", "1", "--mminus", "1"], 2, "", LIFT_ERROR),
+    ],
+)
+def test_entry_point_runs_the_atexit_handlers_and_keeps_the_exit_code(bench_common, argv, code, out, err):
+    # the benchmark's environment sets no PYTHONUNBUFFERED, so stdout is block-buffered
+    probe = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'atexit handler ran')\n"
+        f"sys.argv = ['k3z3', *{argv!r}]\n"
+        "runpy.run_module('k3z3', run_name='__main__')\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=bench_common.child_env())
+    assert (result.returncode, result.stdout, result.stderr) == (code, out + "atexit handler ran\n", err)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+def test_failed_write_is_one_line_and_exit_1(bench_common):
+    # a reader that has gone away, and a full disk, behind a block-buffered stdout
+    argv = [sys.executable, "-m", "k3z3", "verify", "--all", "--format", "json"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as pipe, open("/dev/full", "w") as full:
+        results = _processes([(argv, pipe), (argv, full)], bench_common.child_env())
+    for result, error in zip(results, (errno.EPIPE, errno.ENOSPC)):
+        assert (result.returncode, result.stderr) == (1, f"error: cannot write output: {os.strerror(error)}\n")
+
+
+def test_main_returns_the_code_of_a_failed_write(monkeypatch, capsys):
+    # main reports a failed write and returns; only process_main ends the process
+    assert cli.main(["dirac", "--mplus", "3", "--mminus", "6"]) == 0
+    assert capsys.readouterr() == ("k = (0, 1, 1)\n", "")
+
+    class Full:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert cli.main(["dirac", "--mplus", "3", "--mminus", "6"]) == 1
+    assert capsys.readouterr().err == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_console_script_ends_through_process_main():
+    pyproject = tomllib.loads((PERFBENCH.parent / "pyproject.toml").read_text())
+    module, name = pyproject["project"]["scripts"]["k3z3"].split(":")
+    assert getattr(importlib.import_module(module), name) is cli.process_main
 
 
 def test_no_subcommand_loads_numpy():

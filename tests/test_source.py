@@ -67,10 +67,11 @@ def test_import_k3z3_loads_no_submodule_and_resolves_names_on_first_use():
 
 def test_each_subcommand_loads_only_what_it_runs():
     # classify is loaded by the subcommands that read the action types,
-    # obstruction only by smooth
+    # obstruction only by smooth, lattice and its linalg only by verify
+    watched = ("k3z3.classify", "k3z3.obstruction", "k3z3.lattice", "k3z3.linalg")
     calls = {
         "classify": ["k3z3.classify"],
-        "verify --type A1": ["k3z3.classify"],
+        "verify --type A1": ["k3z3.classify", "k3z3.lattice", "k3z3.linalg"],
         "dirac --mplus 3 --mminus 6": [],
         "gsig --data (1,2)x3,(1,1)x6": [],
         "smooth --type A1": ["k3z3.classify", "k3z3.obstruction"],
@@ -80,7 +81,7 @@ def test_each_subcommand_loads_only_what_it_runs():
             "import sys\n"
             "from k3z3 import cli\n"
             f"exit_code = cli.run({argv.split()!r})[0]\n"
-            "print(exit_code, [m for m in ('k3z3.classify', 'k3z3.obstruction') if m in sys.modules])\n"
+            f"print(exit_code, [m for m in {watched!r} if m in sys.modules])\n"
         )
         assert _fresh(code) == [f"0 {loaded}"], argv
 
