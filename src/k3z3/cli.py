@@ -18,6 +18,7 @@ diagnostics.  No module of the package imports `__future__`.
 """
 
 import atexit
+import errno
 import os
 import sys
 from types import SimpleNamespace
@@ -362,11 +363,14 @@ def run(argv=None) -> tuple[int, str]:
 
 def main(argv=None) -> int:
     """Run and write the output; returns the exit code, 1 if stdout cannot
-    take the output (a closed pipe, a full disk)."""
+    take the output (a closed pipe, a full disk, or no stdout at all)."""
     code, out = run(argv)
     try:
-        sys.stdout.write(out)
-        sys.stdout.flush()  # so that a failed write shows here, not after the return
+        if sys.stdout is not None:
+            sys.stdout.write(out)
+            sys.stdout.flush()  # so that a failed write shows here, not after the return
+        elif out:  # the process started with fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     except OSError as exc:
         try:
             print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
@@ -384,7 +388,7 @@ def process_main() -> NoReturn:
     output is written."""
     code = main()
     atexit._run_exitfuncs()
-    for stream in (sys.stdout, sys.stderr):
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None for a closed fd 1 or 2
         try:
             stream.flush()
         except OSError:  # the output main could not write is still buffered

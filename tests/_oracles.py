@@ -18,7 +18,8 @@ symmetric elimination, which kept and swapped the whole symmetric block:
 it pins the one-triangle version to the same pivots and results.  In the
 same way `product_cube_is_identity` and `dense_rational_kernel` are the
 dense routes that the packed order-3 check and the sparse rational kernel
-replaced.
+replaced, and `exterior_square` is the generic wedge^2 that the torus
+model's closed form replaced.
 Basis changes multiply the package's `Matrix` values, whose arithmetic
 test_linalg checks against numpy object arrays.  `seeded_lattice_inputs`
 copies the benchmark's seeded input stream, so that the records pinned in
@@ -289,6 +290,14 @@ def dense_rational_kernel(a) -> Matrix:
         else:
             kept.append((piv, r))
     return Matrix(kernel, m).T
+
+
+def exterior_square(m) -> list[list[int]]:
+    """Induced matrix on wedge^2, basis e_i ^ e_j (i < j) in lexicographic order."""
+    m = Matrix(m)
+    n = len(m)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return [[m[k][i] * m[l][j] - m[l][i] * m[k][j] for i, j in pairs] for k, l in pairs]
 
 
 def rational_inverse(a) -> np.ndarray:

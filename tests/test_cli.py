@@ -1,18 +1,17 @@
 """CLI behaviour: deterministic output, documented formats, exit codes.
 
 Most tests drive the in-process entry point cli.run; the subprocess tests
-run `python -m k3z3`, whose process ends through cli.process_main.
+start their interpreters through the run_python fixture, in the benchmark's
+child environment, and `python -m k3z3` ends through cli.process_main.
 """
 
 import errno
-import importlib.util
+import importlib
 import json
 import os
 import random
-import subprocess
 import sys
 import tomllib
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -36,53 +35,31 @@ def run_cli(*argv):
     return cli.run(list(argv))
 
 
-def test_module_entry_point_subprocess():
-    result = subprocess.run(
-        [sys.executable, "-m", "k3z3", "classify", "--format", "text"],
-        capture_output=True,
-        text=True,
-    )
+def test_module_entry_point_subprocess(run_python):
+    (result,) = run_python([["-m", "k3z3", "classify", "--format", "text"]])
     assert result.returncode == 0
     assert result.stdout == CLASSIFY_TEXT
     assert result.stderr == ""
 
 
-def test_cli_module_runs_as_a_script():
-    result = subprocess.run(
-        [sys.executable, "-m", "k3z3.cli", "classify"], capture_output=True, text=True
-    )
+def test_cli_module_runs_as_a_script(run_python):
+    (result,) = run_python([["-m", "k3z3.cli", "classify"]])
     assert (result.returncode, result.stdout, result.stderr) == (0, CLASSIFY_TEXT, "")
 
 
-def test_error_diagnostics_subprocess():
-    result = subprocess.run(
-        [sys.executable, "-m", "k3z3", "dirac", "--mplus", "1", "--mminus", "1"],
-        capture_output=True,
-        text=True,
-    )
+def test_error_diagnostics_subprocess(run_python):
+    (result,) = run_python([["-m", "k3z3", "dirac", "--mplus", "1", "--mminus", "1"]])
     assert result.returncode == 2
     assert result.stdout == ""
     assert "no consistent spin lift" in result.stderr
 
 
-def _processes(commands: list, env: dict) -> list:
-    """subprocess.run each (argv, stdout) of `commands` in `env`, two at a time."""
-
-    def one(command):
-        argv, stdout = command
-        return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        return list(pool.map(one, commands))
-
-
-def test_entry_point_gives_the_bench_calls_their_output(bench_common):
+def test_entry_point_gives_the_bench_calls_their_output(bench_common, run_python):
     # one call of each family, a JSON record and an argparse diagnostic,
     # through the process boundary and in the environment that cli_mix times
     keys = (*bench_common.WARMUP, "verify_A0_json", "bad_verify_type")
     cases = [(flag, key) for flag in ([], ["-O"]) for key in keys]
-    argvs = [[sys.executable, *flag, "-m", "k3z3", *bench_common.CALLS[key][0]] for flag, key in cases]
-    results = _processes([(argv, subprocess.PIPE) for argv in argvs], bench_common.child_env())
+    results = run_python([[*flag, "-m", "k3z3", *bench_common.CALLS[key][0]] for flag, key in cases])
     for (flag, key), result in zip(cases, results):
         failure = bench_common.check_cli(key, result.returncode, result.stdout, result.stderr)
         assert failure is None, (flag, key, failure)
@@ -98,7 +75,7 @@ LIFT_ERROR = "error: fixed data admits no consistent spin lift: m+ - m- != 6 (mo
         (["dirac", "--mplus", "1", "--mminus", "1"], 2, "", LIFT_ERROR),
     ],
 )
-def test_entry_point_runs_the_atexit_handlers_and_keeps_the_exit_code(bench_common, argv, code, out, err):
+def test_entry_point_runs_the_atexit_handlers_and_keeps_the_exit_code(run_python, argv, code, out, err):
     # the benchmark's environment sets no PYTHONUNBUFFERED, so stdout is block-buffered
     probe = (
         "import atexit, runpy, sys\n"
@@ -106,20 +83,28 @@ def test_entry_point_runs_the_atexit_handlers_and_keeps_the_exit_code(bench_comm
         f"sys.argv = ['k3z3', *{argv!r}]\n"
         "runpy.run_module('k3z3', run_name='__main__')\n"
     )
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=bench_common.child_env())
+    (result,) = run_python([["-c", probe]])
     assert (result.returncode, result.stdout, result.stderr) == (code, out + "atexit handler ran\n", err)
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
-def test_failed_write_is_one_line_and_exit_1(bench_common):
+def test_failed_write_is_one_line_and_exit_1(run_python):
     # a reader that has gone away, and a full disk, behind a block-buffered stdout
-    argv = [sys.executable, "-m", "k3z3", "verify", "--all", "--format", "json"]
+    args = ["-m", "k3z3", "verify", "--all", "--format", "json"]
     read_end, write_end = os.pipe()
     os.close(read_end)
     with os.fdopen(write_end, "w") as pipe, open("/dev/full", "w") as full:
-        results = _processes([(argv, pipe), (argv, full)], bench_common.child_env())
+        results = [*run_python([args], pipe), *run_python([args], full)]
     for result, error in zip(results, (errno.EPIPE, errno.ENOSPC)):
         assert (result.returncode, result.stderr) == (1, f"error: cannot write output: {os.strerror(error)}\n")
+
+
+def test_closed_stdout_is_a_failed_write(run_python):
+    # the interpreter starts with fd 1 closed, so sys.stdout is None
+    start = "import os, sys\nos.close(1)\nos.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+    (result,) = run_python([["-c", start, "-m", "k3z3", "classify"]])
+    error = os.strerror(errno.EBADF)
+    assert (result.returncode, result.stderr) == (1, f"error: cannot write output: {error}\n")
 
 
 def test_main_returns_the_code_of_a_failed_write(monkeypatch, capsys):
@@ -145,7 +130,7 @@ def test_console_script_ends_through_process_main():
     assert getattr(importlib.import_module(module), name) is cli.process_main
 
 
-def test_no_subcommand_loads_numpy():
+def test_no_subcommand_loads_numpy(run_python):
     # a fresh process, so that no earlier test has imported these already;
     # dataclasses pulls in inspect, ast, dis and tokenize at every start-up,
     # and only JSON output needs json
@@ -162,7 +147,7 @@ def test_no_subcommand_loads_numpy():
         "print(isinstance(gamma16(1), GLattice), all(hasattr(k3z3, n) for n in k3z3.__all__))\n"
         "print([m for m in unwanted if m in sys.modules])\n"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    (result,) = run_python([["-c", code]])
     assert result.returncode == 0, result.stderr
     assert result.stdout.split("\n") == [
         "classify 0 []",
@@ -186,7 +171,7 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: ArithmeticError: planted fault\n"
 
 
-def test_internal_error_exit_code_subprocess():
+def test_internal_error_exit_code_subprocess(run_python):
     code = (
         "import sys\n"
         "from k3z3 import cli\n"
@@ -195,7 +180,7 @@ def test_internal_error_exit_code_subprocess():
         "cli.dirac_coefficients = fault\n"
         "sys.exit(cli.main(['dirac', '--mplus', '3', '--mminus', '6']))\n"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    (result,) = run_python([["-c", code]])
     assert result.returncode == 3
     assert result.stdout == ""
     assert result.stderr == "internal error: ArithmeticError: planted fault\n"
@@ -376,18 +361,6 @@ def test_verify_record_products_lead_with_the_sparse_factor(bench_common, monkey
         assert lattice._action_minus_identity.cache_info().misses == misses + 1, L.label
         basis = linalg.rational_kernel(L.action - linalg.identity(L.rank))
         assert all(left in (L.action.T, basis.T) for left in lefts), L.label
-
-
-@pytest.fixture(scope="module")
-def bench_common():
-    """perfbench/common.py, read in place without writing bytecode."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(PERFBENCH))
-        mp.setattr(sys, "dont_write_bytecode", True)
-        spec = importlib.util.spec_from_file_location("perfbench_common", PERFBENCH / "common.py")
-        common = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(common)
-    return common
 
 
 def test_verify_record_reaches_every_traced_name(bench_common, monkeypatch):

@@ -27,9 +27,14 @@ from k3z3 import (
     three_h_torus,
     verify_lattice,
 )
-from k3z3.linalg import bareiss_determinant, identity
+from k3z3.linalg import Matrix, bareiss_determinant, block_diag, identity
 
-from _oracles import gamma16_by_basis_change, saturated_fixed_sublattice, transformed
+from _oracles import (
+    exterior_square,
+    gamma16_by_basis_change,
+    saturated_fixed_sublattice,
+    transformed,
+)
 
 
 def hexagonal_plane() -> GLattice:
@@ -67,12 +72,22 @@ def test_gamma16_matches_rational_basis_change(k):
 
 
 def test_closed_form_models_equal_the_checked_route():
-    # gamma16 and hyperbolic hand their computed rows over unchecked
-    for L in [*map(gamma16, range(6)), hyperbolic()]:
-        checked = GLattice(L.gram.tolist(), L.action.tolist())
+    # the constructors hand their computed rows over unchecked
+    models = [assemble_type_lattice(t) for t in enumerate_action_types()]
+    for L in [*map(gamma16, range(6)), hyperbolic(), three_h_perm(), three_h_torus(), *models]:
+        checked = GLattice(L.gram.tolist(), L.action.tolist(), label=L.label)
+        assert L.label == checked.label and L.rank == checked.rank
         for got, want in ((L.gram, checked.gram), (L.action, checked.action)):
             assert type(got) is type(want) and got == want and got.shape == want.shape
             assert all(type(x) is int for row in got for x in row)
+    assert [L.label for L in models] == [
+        "A0: 3H(torus) + Gamma16(k=5)",
+        "A1: 3H(trivial) + Gamma16(k=5)",
+        "A2: 3H(trivial) + Gamma16(k=4)",
+        "B: 3H(cyclic) + Gamma16(k=5)",
+    ]
+    z = [[0, -1], [1, -1]]  # multiplication by zeta on Z + zeta*Z
+    assert three_h_torus().action.tolist() == exterior_square(block_diag(z, Matrix(z) @ Matrix(z)))
 
 
 def test_gamma16_is_negative_definite():
@@ -158,13 +173,8 @@ def test_direct_sum():
 def test_verify_lattice_passes_on_construction():
     report = verify_lattice(gamma16(3))
     assert report.passed
-    assert dict(report.checks()) == {
-        "symmetric": True,
-        "unimodular": True,
-        "even": True,
-        "isometry": True,
-        "order 3": True,
-    }
+    fields = (report.symmetric, report.unimodular, report.even, report.isometry, report.order3)
+    assert fields == (True,) * 5
 
 
 def test_verify_lattice_flags_odd_diagonal():

@@ -1,11 +1,10 @@
 """Properties of the package source itself."""
 
 import ast
-import subprocess
-import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "k3z3").glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SOURCES = sorted((TESTS.parent / "src" / "k3z3").glob("*.py"))
 
 
 def test_no_assert_statements_in_the_package():
@@ -19,25 +18,18 @@ def test_no_assert_statements_in_the_package():
     assert SOURCES and not found
 
 
-def test_cli_imports_no_rational_arithmetic():
+def test_cli_imports_no_rational_arithmetic(run_python):
     # the CLI computes on ints: Q(zeta) and Fraction stay out of its process
     code = (
         "import sys, k3z3.cli\n"
         "print(sorted({'fractions', 'decimal', 'numbers', 'k3z3.cyclotomic'} & set(sys.modules)))\n"
     )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    (result,) = run_python([["-c", code]])
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
 
 
-def _fresh(code: str) -> list[str]:
-    """Run `code` in a new interpreter, where no test has imported anything yet."""
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()
-
-
-def test_import_k3z3_loads_no_submodule_and_resolves_names_on_first_use():
+def test_import_k3z3_loads_no_submodule_and_resolves_names_on_first_use(run_python):
     code = (
         "import sys, k3z3\n"
         "print(sorted(m for m in sys.modules if m.startswith('k3z3.')))\n"
@@ -54,7 +46,9 @@ def test_import_k3z3_loads_no_submodule_and_resolves_names_on_first_use():
         "except AttributeError as exc:\n"
         "    print(exc)\n"
     )
-    assert _fresh(code) == [
+    (result,) = run_python([["-c", code]])  # a new interpreter: no test has imported anything
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
         "[]",
         "['k3z3.classify', 'k3z3.fixed_data', 'k3z3.lattice', 'k3z3.obstruction']",
         "True",
@@ -65,7 +59,7 @@ def test_import_k3z3_loads_no_submodule_and_resolves_names_on_first_use():
     ]
 
 
-def test_each_subcommand_loads_only_what_it_runs():
+def test_each_subcommand_loads_only_what_it_runs(run_python):
     # classify is loaded by the subcommands that read the action types,
     # obstruction only by smooth, lattice and its linalg only by verify
     watched = ("k3z3.classify", "k3z3.obstruction", "k3z3.lattice", "k3z3.linalg")
@@ -76,17 +70,19 @@ def test_each_subcommand_loads_only_what_it_runs():
         "gsig --data (1,2)x3,(1,1)x6": [],
         "smooth --type A1": ["k3z3.classify", "k3z3.obstruction"],
     }
-    for argv, loaded in calls.items():
-        code = (
-            "import sys\n"
-            "from k3z3 import cli\n"
-            f"exit_code = cli.run({argv.split()!r})[0]\n"
-            f"print(exit_code, [m for m in {watched!r} if m in sys.modules])\n"
-        )
-        assert _fresh(code) == [f"0 {loaded}"], argv
+    code = (
+        "import sys\n"
+        "from k3z3 import cli\n"
+        "exit_code = cli.run(sys.argv[1:])[0]\n"
+        f"print(exit_code, [m for m in {watched!r} if m in sys.modules])\n"
+    )
+    results = run_python([["-c", code, *argv.split()] for argv in calls])
+    for (argv, loaded), result in zip(calls.items(), results):
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [f"0 {loaded}"], argv
 
 
-def test_argparse_loads_only_to_parse_a_command_line():
+def test_argparse_loads_only_to_parse_a_command_line(run_python):
     # records and spelled-out calls load no argument parser, nor gettext or
     # locale; --help and an argv the reader declines go through argparse
     parsing = "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
@@ -102,21 +98,22 @@ def test_argparse_loads_only_to_parse_a_command_line():
         "    print(cli.run(argv)[0], end=' ')\n"
         f"{parsing}"
     )
-    assert _fresh(code) == ["[]", "0 0 0 0 0 []"]
-    for argv, exit_code in ((["--help"], 0), (["verify", "--type", "Q"], 2)):
-        code = (
-            "import sys\nfrom k3z3 import cli\n"
-            f"print(cli.run({argv!r})[0], 'argparse' in sys.modules)\n"
-        )
-        assert _fresh(code)[-1] == f"{exit_code} True", argv
+    declined = "import sys\nfrom k3z3 import cli\nprint(cli.run(sys.argv[1:])[0], 'argparse' in sys.modules)\n"
+    cases = ((["--help"], 0), (["verify", "--type", "Q"], 2))
+    first, *results = run_python([["-c", code], *(["-c", declined, *argv] for argv, _ in cases)])
+    assert first.returncode == 0, first.stderr
+    assert first.stdout.splitlines() == ["[]", "0 0 0 0 0 []"]
+    for result, (argv, exit_code) in zip(results, cases):
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == f"{exit_code} True", argv
 
 
-def test_no_module_imports_future():
+def test_no_module_imports_future(run_python):
     # `from __future__ import annotations` imports the __future__ module at run time
     code = "import sys\nfrom k3z3 import classify, cli, lattice\nprint('__future__' in sys.modules)\n"
-    assert _fresh(code) == ["False"]
-    argv = [sys.executable, "-X", "importtime", "-m", "k3z3", "classify"]
-    result = subprocess.run(argv, capture_output=True, text=True)
+    fresh, result = run_python([["-c", code], ["-X", "importtime", "-m", "k3z3", "classify"]])
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.splitlines() == ["False"]
     imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
     assert result.returncode == 0 and "k3z3.cli" in imported
     assert not {"__future__", "argparse"} & imported
@@ -140,6 +137,18 @@ def test_verify_record_runs_no_import_statement():
     lattice = ast.parse((src / "lattice.py").read_text())
     functions = [node for node in ast.walk(lattice) if isinstance(node, ast.FunctionDef)]
     assert functions and [f.name for f in (record, *functions) if imports(f)] == []
+
+
+def test_only_conftest_imports_subprocess():
+    # every test starts its interpreters through the conftest fixture run_python
+    found = [
+        path.name
+        for path in sorted(TESTS.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and "subprocess" in (alias.name for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "subprocess"
+    ]
+    assert found == ["conftest.py"]
 
 
 def test_lattice_keeps_one_audit_cache_per_lattice():
