@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in (
-        ("classify", "K3 ActionType SurfaceConstants action_type admissible_differences "
-                     "enumerate_action_types quotient_invariants"),
-        ("fixed_data", "DiracIndex FixedPointData FixedPointType dirac_coefficients "
+        ("classify", "ActionType action_type admissible_differences enumerate_action_types "
+                     "quotient_invariants"),
+        ("fixed_data", "K3 DiracIndex FixedPointData FixedPointType dirac_coefficients "
                        "g_signature_of_data normalize_type parse_fixed_data"),
         ("lattice", "GLattice LatticeReport ModuleDecomposition assemble_type_lattice check_gsf "
                     "check_lefschetz check_rep direct_sum fixed_sublattice g_signature_of_lattice "

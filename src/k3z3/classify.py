@@ -1,5 +1,6 @@
 """Enumeration of the admissible fixed-point configurations on K3.
 
+Every K3 number is read from `fixed_data.K3`, which this module re-exports.
 The Lefschetz bound, integrality of the orbit-space Euler number and
 signature, and the feasible fixed ranks on the positive cone cut the
 (m+, m-) grid down to exactly four action types; this module produces
@@ -10,21 +11,10 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .fixed_data import FixedPointData
+from .fixed_data import K3, FixedPointData
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-class SurfaceConstants(
-    namedtuple("SurfaceConstants", "euler sign b2 b_plus b_minus", defaults=(24, -16, 22, 3, 19))
-):
-    """Topological constants of the K3 surface."""
-
-    __slots__ = ()
-
-
-K3 = SurfaceConstants()
 
 
 def _scaled_invariants(m_plus: int, m_minus: int) -> tuple[int, int]:
@@ -53,10 +43,10 @@ def quotient_invariants(d: FixedPointData) -> "tuple[Fraction, Fraction]":
 def admissible_differences() -> list[int]:
     """Values of m+ - m- compatible with an integral quotient signature.
 
-    Within the Lefschetz bound |d| <= 24 these are the d = 6 mod 9, in
-    ascending order.
+    Within the Lefschetz bound |d| <= 24 these are the d with 9 dividing
+    3 Sign(X) + 2d, that is d = 6 mod 9, in ascending order.
     """
-    return [d for d in range(-24, 25) if d % 9 == 6]
+    return [d for d in range(-K3.euler, K3.euler + 1) if (3 * K3.sign + 2 * d) % 9 == 0]
 
 
 class ActionType(
@@ -90,11 +80,10 @@ class ActionType(
 
 @lru_cache(maxsize=None)
 def _enumerate() -> tuple[ActionType, ...]:
-    bound = K3.b2 + 2
     survivors = []
     # the whole grid, on integers: chi(X/G) and Sign(X/G) must be integral
-    for m_plus in range(bound + 1):
-        for m_minus in range(bound + 1 - m_plus):
+    for m_plus in range(K3.euler + 1):
+        for m_minus in range(K3.euler + 1 - m_plus):
             euler3, sign9 = _scaled_invariants(m_plus, m_minus)
             if euler3 % 3 or sign9 % 9:
                 continue
@@ -110,32 +99,12 @@ def _enumerate() -> tuple[ActionType, ...]:
             # t + s + 1 and b- = 5 + t - s are odd (the non-fixed parts split
             # into rotation planes), so b+ is 1 or 3 and 2m+ + m- = (3T + D)/2
             # = (9(b+ - 1) + 6)/2 is 3 or 12 (the fixed-rank relations).
-            survivors.append((m_plus, m_minus, b2, bplus, bminus, sign, euler))
-    survivors.sort(key=lambda row: (-row[3], -row[0]))
-    if [row[3] for row in survivors] != [3, 3, 3, 1]:
+            # A row holds the fields of an ActionType but its name.
+            survivors.append((m_plus + m_minus, m_plus, m_minus, b2, bplus, bminus, sign, euler))
+    survivors.sort(key=lambda row: (-row[4], -row[1]))  # b+^G, then m+, descending
+    if [row[4] for row in survivors] != [3, 3, 3, 1]:
         raise ArithmeticError("admissible set drifted from the expected four types")
-    rows = []
-    a_index = 0
-    for m_plus, m_minus, b2, bplus, bminus, sign, euler in survivors:
-        if bplus == 3:
-            name = f"A{a_index}"
-            a_index += 1
-        else:
-            name = "B"
-        rows.append(
-            ActionType(
-                name=name,
-                fixed_count=m_plus + m_minus,
-                m_plus=m_plus,
-                m_minus=m_minus,
-                b2_G=b2,
-                bplus_G=bplus,
-                bminus_G=bminus,
-                sign_quotient=sign,
-                euler_quotient=euler,
-            )
-        )
-    return tuple(rows)
+    return tuple(ActionType(name, *row) for name, row in zip(("A0", "A1", "A2", "B"), survivors))
 
 
 def enumerate_action_types() -> list[ActionType]:

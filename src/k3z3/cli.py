@@ -4,17 +4,20 @@ Every subcommand is a pure function of its flags: repeated invocations
 produce byte-identical output.  Exit codes: 0 on success, 1 when a
 verification check fails or the output cannot be written, 2 on malformed
 input and 3 on an internal error such as a failed self-check (a failed
-write, 2 and 3 with a one-line diagnostic on stderr).  `_CALLS` is the one
-declaration of the command line: `_read` reads spelled-out calls from it,
-and `build_parser`, the only importer of `argparse`, renders it for every
-other argv, `--help` among them, so that records and spelled-out calls load
-no argument parser while argparse stays the one source of help texts and
-diagnostics.  No module of the package imports `__future__`.
+write, 2 and 3 with a one-line diagnostic on stderr; a stderr that is
+closed or cannot take the line loses it, and the code stays).  `_CALLS` is
+the one declaration of the command line: `_read` reads spelled-out calls
+from it, and `build_parser`, the only importer of `argparse`, renders it for
+every other argv, `--help` among them, so that records and spelled-out calls
+load no argument parser while argparse stays the one source of help texts
+and diagnostics.  No module of the package imports `__future__`.
 
-`run` and `main` return to their caller.  A process started for one call,
-`python -m k3z3`, `python -m k3z3.cli` or the `k3z3` script, ends through
-`process_main`: the output is flushed, the atexit handlers run, and
-`os._exit` skips the interpreter's teardown.
+`run` returns the output, help text included, and prints nothing on
+stdout: `main` is its one writer.  `run` and `main` return to their
+caller.  A process started for one call, `python -m k3z3`,
+`python -m k3z3.cli` or the `k3z3` script, ends through `process_main`:
+the output is flushed, the atexit handlers run, and `os._exit` skips the
+interpreter's teardown.
 """
 
 import atexit
@@ -340,24 +343,39 @@ def _read(argv: list) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], handler=handler, **values)
 
 
+def _diagnostic(line: str) -> None:
+    """Print one line on stderr, if there is a stderr that can take it: the
+    exit code tells the outcome either way."""
+    if sys.stderr is not None:  # None for a process started with fd 2 closed
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
+
+
 def run(argv=None) -> tuple[int, str]:
-    """Parse and execute; returns (exit_code, stdout text).  Any argv that
-    `_read` declines, `--help`, abbreviations and `--flag=value` among them,
-    goes to argparse."""
+    """Parse and execute; returns (exit_code, stdout text) and writes only
+    diagnostics.  Any argv that `_read` declines, `--help`, abbreviations and
+    `--flag=value` among them, goes to argparse, whose help text is returned
+    as the output; its error messages go to stderr."""
     argv = sys.argv[1:] if argv is None else argv
     args = _read(argv)
     if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:  # argparse wrote its own message and exits 0 or 2
-            return exc.code, ""
+        import contextlib
+        import io
+
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit as exc:  # argparse exits 0 after its help, 2 after its error
+                return exc.code, text.getvalue()
     try:
         return args.handler(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnostic(f"error: {exc}")
         return 2, ""
     except Exception as exc:  # a bug or a failed self-check, not the input
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _diagnostic(f"internal error: {type(exc).__name__}: {exc}")
         return 3, ""
 
 
@@ -372,10 +390,7 @@ def main(argv=None) -> int:
         elif out:  # the process started with fd 1 closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     except OSError as exc:
-        try:
-            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
-        except OSError:
-            pass
+        _diagnostic(f"error: cannot write output: {exc.strerror}")
         return 1
     return code
 

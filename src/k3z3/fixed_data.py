@@ -1,5 +1,8 @@
-"""Fixed-point data of pseudofree order-3 actions and its index invariants.
+"""K3's invariants, and the fixed-point data of pseudofree order-3 actions.
 
+`K3` is the one record of the numbers the package reads of the K3 surface:
+Euler number 24, signature -16, b2 = 22 and b+/b- = 3/19; the Lefschetz
+bound 2 + b2 on fixed points and the Dirac index -Sign/8 follow from them.
 A pseudofree action fixes finitely many points; at each one the local
 model is a complex rotation with weights (a, b) mod 3, both nonzero,
 well defined up to swapping the pair and negating both entries.  That
@@ -16,10 +19,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# 2 + trace on rank-22 middle cohomology cannot exceed 24
-LEFSCHETZ_BOUND = 24
+K3 = namedtuple("K3", "euler sign b2 b_plus b_minus")(24, -16, 22, 3, 19)
 # index of the Dirac operator on K3: -Sign/8 = 2
-DIRAC_INDEX = 2
+DIRAC_INDEX = -K3.sign // 8
 
 
 class FixedPointType(Enum):
@@ -47,8 +49,8 @@ class FixedPointData(namedtuple("FixedPointData", "m_plus m_minus")):
         self = super().__new__(cls, *args, **kwargs)
         if self.m_plus < 0 or self.m_minus < 0:
             raise ValueError("fixed point counts must be nonnegative")
-        if self.m_plus + self.m_minus > LEFSCHETZ_BOUND:
-            raise ValueError(f"at most {LEFSCHETZ_BOUND} fixed points are possible")
+        if self.m_plus + self.m_minus > K3.euler:  # 2 + trace on H^2 is at most 2 + b2
+            raise ValueError(f"at most {K3.euler} fixed points are possible")
         return self
 
     @property

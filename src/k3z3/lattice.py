@@ -15,11 +15,11 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import linalg
+from .fixed_data import K3, FixedPointData
 from .linalg import Matrix
 
 if TYPE_CHECKING:
     from .classify import ActionType
-    from .fixed_data import FixedPointData
 
 
 class GLattice:
@@ -314,7 +314,7 @@ def check_rep(L: GLattice, fixed_count: int) -> bool:
     return dec.b == 0 and dec.a == fixed_count - 2
 
 
-def check_gsf(L: GLattice, d: "FixedPointData") -> bool:
+def check_gsf(L: GLattice, d: FixedPointData) -> bool:
     """g-signature formula: the lattice g-signature is the defect sum (m+ - m-)/3.
 
     Checking g settles g^2 as well: the two fix the same sublattice, so
@@ -329,7 +329,7 @@ def check_gsf(L: GLattice, d: "FixedPointData") -> bool:
 
 def check_lefschetz(L: GLattice, fixed_count: int) -> bool:
     """Fixed-point count 2 + tr(action) = #fixed, for a rank-22 model."""
-    if L.rank != 22:
+    if L.rank != K3.b2:
         raise ValueError("not a K3 intersection form model")
     return 2 + L.trace == fixed_count
 

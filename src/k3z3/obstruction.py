@@ -11,8 +11,8 @@ from collections import namedtuple
 from enum import Enum
 from math import gcd
 
-from .classify import ActionType, K3
-from .fixed_data import DiracIndex, FixedPointData, dirac_coefficients
+from .classify import ActionType
+from .fixed_data import K3, DiracIndex, FixedPointData, dirac_coefficients
 
 
 class Smoothability(Enum):

@@ -103,6 +103,37 @@ def test_sweep_needs_only_integrality_and_the_ranges():
     assert (integral, in_range) == (15, 4)
 
 
+def _sweep_anew():
+    """classify._enumerate run again; its cache is left empty for the next caller."""
+    classify._enumerate.cache_clear()
+    try:
+        return classify._enumerate()
+    finally:
+        classify._enumerate.cache_clear()
+
+
+def test_sweep_visits_the_whole_grid(monkeypatch):
+    # each (m+, m-) within the Lefschetz bound m+ + m- <= 24, once
+    rows = classify._enumerate()
+    visited = []
+    scaled = classify._scaled_invariants
+
+    def record(m_plus, m_minus):
+        visited.append((m_plus, m_minus))
+        return scaled(m_plus, m_minus)
+
+    monkeypatch.setattr(classify, "_scaled_invariants", record)
+    assert _sweep_anew() == rows
+    assert visited == [(p, m) for p in range(25) for m in range(25 - p)]
+
+
+def test_a_drifted_admissible_set_is_an_arithmetic_error(monkeypatch):
+    # with b-^G capped at 7 only A0 and B survive, which the four names do not fit
+    monkeypatch.setattr(classify, "K3", K3._replace(b_minus=7))
+    with pytest.raises(ArithmeticError, match="drifted from the expected four types"):
+        _sweep_anew()
+
+
 def test_admissible_differences():
     diffs = admissible_differences()
     assert diffs == [-21, -12, -3, 6, 15, 24]
@@ -169,6 +200,9 @@ def test_enumeration_is_exhaustive():
 
 
 def test_surface_constants_are_consistent():
+    # one record of K3's numbers, which every module reads
+    assert K3 == (24, -16, 22, 3, 19) and K3 is classify.K3 is fixed_data.K3
+    assert fixed_data.DIRAC_INDEX == -K3.sign // 8 == 2
     assert K3.b_plus + K3.b_minus == K3.b2
     assert K3.b_plus - K3.b_minus == K3.sign
     assert 2 + K3.b2 == K3.euler

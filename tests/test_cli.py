@@ -99,12 +99,34 @@ def test_failed_write_is_one_line_and_exit_1(run_python):
         assert (result.returncode, result.stderr) == (1, f"error: cannot write output: {os.strerror(error)}\n")
 
 
+def _with_fd_closed(fd: int) -> str:
+    """A `python -c` program that closes `fd`, then runs the rest of its argv."""
+    return f"import os, sys\nos.close({fd})\nos.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
+
+
 def test_closed_stdout_is_a_failed_write(run_python):
-    # the interpreter starts with fd 1 closed, so sys.stdout is None
-    start = "import os, sys\nos.close(1)\nos.execv(sys.executable, [sys.executable, *sys.argv[1:]])"
-    (result,) = run_python([["-c", start, "-m", "k3z3", "classify"]])
+    # the interpreter starts with fd 1 closed, so sys.stdout is None; help text is output too
+    calls = (["classify"], ["--help"])
+    results = run_python([["-c", _with_fd_closed(1), "-m", "k3z3", *argv] for argv in calls])
     error = os.strerror(errno.EBADF)
-    assert (result.returncode, result.stderr) == (1, f"error: cannot write output: {error}\n")
+    for argv, result in zip(calls, results):
+        assert (result.returncode, result.stderr) == (1, f"error: cannot write output: {error}\n"), argv
+
+
+def test_closed_stderr_loses_the_diagnostic_and_keeps_the_code(run_python):
+    # with fd 2 closed sys.stderr is None, and print(file=None) would write on stdout
+    argv = ["-c", _with_fd_closed(2), "-m", "k3z3", "dirac", "--mplus", "1", "--mminus", "1"]
+    (result,) = run_python([argv])
+    assert (result.returncode, result.stdout) == (2, "")
+
+
+def test_a_stderr_that_fails_loses_the_diagnostic_and_keeps_the_code(monkeypatch):
+    class Broken:
+        def write(self, text):
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    monkeypatch.setattr(sys, "stderr", Broken())
+    assert cli.main(["dirac", "--mplus", "1", "--mminus", "1"]) == 2
 
 
 def test_main_returns_the_code_of_a_failed_write(monkeypatch, capsys):
@@ -721,9 +743,12 @@ HELP_LINES = {
 
 @pytest.mark.parametrize("argv", HELP_LINES)
 def test_help_texts_exit_0(argv, capsys, monkeypatch):
+    # the help text is run's output, as any other, and nothing is printed
     monkeypatch.setenv("COLUMNS", "200")  # no help or usage line wraps
-    assert run_cli(*argv, "--help") == (0, "")
-    lines = {" ".join(line.split()) for line in capsys.readouterr().out.splitlines()}
+    code, out = run_cli(*argv, "--help")
+    assert code == 0
+    assert capsys.readouterr() == ("", "")
+    lines = {" ".join(line.split()) for line in out.splitlines()}
     assert HELP_LINES[argv] <= lines
 
 
