@@ -5,7 +5,7 @@ exactness and auditability over asymptotics: determinants use
 fraction-free (Bareiss) elimination, rational kernels gcd-scaled
 elimination, saturated integer kernels the Smith normal form, ranks
 mod 3 elimination over F_3, and the inertia of a symmetric form, with
-its determinant, fraction-free symmetric congruence elimination.  The
+its determinant, two-step fraction-free symmetric elimination.  The
 package itself runs no Smith form; it stays as a reference kernel.
 
 A `Matrix` is checked once, when built from nested sequences, so the
@@ -388,15 +388,19 @@ def inertia(a) -> tuple[int, int, int]:
 def inertia_and_determinant(a) -> tuple[tuple[int, int, int], int]:
     """Inertia (pos, neg, null) and determinant of a symmetric integer matrix.
 
-    The form is reduced by fraction-free symmetric elimination; the sign
-    of each exact pivot is the sign of the product of consecutive
-    Bareiss pivots.  A block with an all-zero diagonal gets a pivot
-    manufactured by a symmetric row-and-column addition.  Every step is
-    a congruence by a unimodular matrix, so the determinant is the last
-    Bareiss pivot, or 0 when the form is degenerate.  Each step keeps the
-    block below and right of its pivot symmetric, so only its upper
-    triangle (`s[i][j]` with `j >= i`) is read and written, by the
-    elimination, the pivot searches, the swap and the pair addition.
+    Bareiss's two-step fraction-free elimination pivots on the 2 x 2 block
+    [[a, b], [b, c]] at (t, t + 1) when d = ac - b^2 is nonzero, else on a.
+    By Sylvester's identity each kept entry becomes the 3 x 3 minor
+    d s_ij - alpha_i s_tj - beta_i s_t+1,j divided by prev^2, prev being the
+    last leading minor; the next one is d / prev.  neg counts the sign
+    changes along the leading minors (Jacobi).  When a = 0, d / prev and
+    prev differ in sign, so either sign of a counts one positive and one
+    negative square (Frobenius).  A zero s_tt takes the first nonzero s_tu
+    to t + 1 by a symmetric swap; a zero row t is split off as null, with
+    prev unchanged.  Every step is a unimodular congruence, so the
+    determinant is the last leading minor, or 0 when the form is
+    degenerate.  Only the upper triangle (`s[i][j]` with `j >= i`) of the
+    block left at each step is read and written.
     """
     s = int_rows(a)
     n = len(s)
@@ -408,49 +412,55 @@ def inertia_and_determinant(a) -> tuple[tuple[int, int, int], int]:
 def _inertia_and_determinant(s: list[list[int]]) -> tuple[tuple[int, int, int], int]:
     """The elimination, unguarded: `s` is fresh rows of a symmetric form, reduced in place."""
     n = len(s)
-    pos = neg = null = 0
+    neg = null = 0
     prev = 1
     t = 0
     while t < n:
-        if s[t][t] == 0:
-            piv = next((i for i in range(t + 1, n) if s[i][i]), None)
-            if piv is not None:
-                _upper_swap(s, t, piv)
-            else:
-                pair = next(((i, j) for i in range(t, n) for j in range(i + 1, n) if s[i][j]), None)
-                if pair is None:
-                    null += n - t
-                    break
-                # row i += row j and column i += column j: the block's diagonal
-                # and its rows above i are 0, so only row i changes
-                i, j = pair
-                row_i = s[i]
-                row_i[i] = 2 * row_i[j]
-                for k in range(i + 1, n):
-                    row_i[k] += s[k][j] if k <= j else s[j][k]
-                if i != t:
-                    _upper_swap(s, t, i)
-        p = s[t][t]
-        if (p > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
         row_t = s[t]
-        for i in range(t + 1, n):
-            row_i = s[i]
-            sit = row_t[i]
-            for j in range(i, n):
-                row_i[j] = (row_i[j] * p - sit * row_t[j]) // prev
-        prev = p
-        t += 1
-    return (pos, neg, null), 0 if null else prev
+        a = row_t[t]
+        if a == 0:
+            u = next(compress(range(t + 1, n), row_t[t + 1 :]), None)
+            if u is None:
+                null += 1
+                t += 1
+                continue
+            if u != t + 1:
+                _upper_swap(s, t, u)
+        d = 0
+        if t + 1 < n:
+            row_p = s[t + 1]
+            b, c = row_t[t + 1], row_p[t + 1]
+            d = a * c - b * b
+        if d:
+            q = d // prev
+            neg += ((a > 0) != (prev > 0)) + ((q > 0) != (a > 0))
+            prev2 = prev * prev
+            for i in range(t + 2, n):
+                row_i = s[i]
+                x, y = row_t[i], row_p[i]
+                alpha, beta = c * x - b * y, a * y - b * x
+                for j in range(i, n):
+                    row_i[j] = (d * row_i[j] - alpha * row_t[j] - beta * row_p[j]) // prev2
+            prev = q
+            t += 2
+        else:
+            neg += (a > 0) != (prev > 0)
+            for i in range(t + 1, n):
+                row_i = s[i]
+                sit = row_t[i]
+                for j in range(i, n):
+                    row_i[j] = (row_i[j] * a - sit * row_t[j]) // prev
+            prev = a
+            t += 1
+    return (n - neg - null, neg, null), 0 if null else prev
 
 
-def _upper_swap(s, t, p):
-    """Swap indices t < p of the symmetric block from t on, stored as its upper triangle."""
-    row_t, row_p = s[t], s[p]
-    row_t[t], row_p[p] = row_p[p], row_t[t]
-    for k in range(t + 1, p):
+def _upper_swap(s, t, u):
+    """Swap indices t + 1 < u of the block from t on (upper triangle), row t's two entries too."""
+    row_t, row_p, row_u = s[t], s[t + 1], s[u]
+    row_t[t + 1], row_t[u] = row_t[u], row_t[t + 1]
+    row_p[t + 1], row_u[u] = row_u[u], row_p[t + 1]
+    for k in range(t + 2, u):
         row_k = s[k]
-        row_t[k], row_k[p] = row_k[p], row_t[k]
-    row_t[p + 1 :], row_p[p + 1 :] = row_p[p + 1 :], row_t[p + 1 :]
+        row_p[k], row_k[u] = row_k[u], row_p[k]
+    row_p[u + 1 :], row_u[u + 1 :] = row_u[u + 1 :], row_p[u + 1 :]

@@ -14,9 +14,11 @@ normal form: the module decomposition, recounted from a finite quotient
 saturated invariant lattice (a different route to the fixed form than
 the package's rational kernel).  The exact code is then required to
 agree.  `full_storage_inertia_and_determinant` is the package's earlier
-symmetric elimination, which kept and swapped the whole symmetric block:
-it pins the one-triangle version to the same pivots and results.  In the
-same way `product_cube_is_identity` and `dense_rational_kernel` are the
+symmetric elimination, which kept and swapped the whole symmetric block,
+took one pivot per step and made one from a pair addition on an all-zero
+diagonal.  The package's two-step elimination takes other pivots, so the
+oracle pins only its results, the inertia and the determinant, on every
+sweep that reads it.  In the same way `product_cube_is_identity` and `dense_rational_kernel` are the
 dense routes that the packed order-3 check and the sparse rational kernel
 replaced, and `exterior_square` is the generic wedge^2 that the torus
 model's closed form replaced.

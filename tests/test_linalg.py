@@ -385,15 +385,96 @@ def test_inertia_and_determinant_examples():
 
 
 def test_inertia_and_determinant_with_a_zero_leading_row():
-    # zero diagonal and a zero first row: the pivot is made from a pair below it
+    # zero diagonal and a zero first row: row 0 is split off as null, and the
+    # pair below it is a 2 x 2 pivot with a = 0
     assert linalg.inertia_and_determinant([[0, 0, 0], [0, 0, 1], [0, 1, 0]]) == ((1, 1, 1), 0)
     assert linalg.inertia_and_determinant([[0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 0], [0, 2, 0, 0]]) == ((1, 1, 2), 0)
 
 
 def test_inertia_and_determinant_pair_path_after_a_pivot():
-    # the first step leaves [[0, 2], [2, 0]], and the stale entries left of
-    # it are nonzero: the pair search must not look at them
+    # d = 0 at (0, 1), so the first step is 1 x 1 and leaves [[0, 2], [2, 0]],
+    # a 2 x 2 pivot with a = 0; the stale entries left of it are nonzero, and
+    # neither the search for s_tu nor the update may look at them
     assert linalg.inertia_and_determinant([[1, 1, 1], [1, 1, 3], [1, 3, 1]]) == ((2, 1, 0), -4)
+
+
+def test_inertia_and_determinant_two_step_divides_by_prev_squared():
+    # d = 0 at (0, 1), so step 0 is 1 x 1 on the pivot p and prev = p; the
+    # 2 x 2 steps after it divide their 3 x 3 minors by p^2, which a division
+    # by p gets wrong once p != +-1
+    sympy = pytest.importorskip("sympy")
+    form = [[2, 2, 1, 0, 1], [2, 2, 0, 1, 0], [1, 0, 1, 1, 0], [0, 1, 1, 0, 2], [1, 0, 0, 2, 1]]
+    assert linalg.inertia_and_determinant(form) == ((4, 1, 0), -10) == full_storage_inertia_and_determinant(form)
+    rng = random.Random(211)
+    for _ in range(40):
+        n = rng.randint(4, 8)
+        m = random_int_matrix(rng, n, n, span=2)
+        form = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+        form[0][0] = form[0][1] = form[1][0] = form[1][1] = rng.choice((2, -2, 3, -6))
+        sig, det = linalg.inertia_and_determinant(form)
+        assert (sig, det) == full_storage_inertia_and_determinant(form)
+        assert det == sympy.Matrix(form).det()
+
+
+def test_inertia_and_determinant_swap_moves_the_pivot_rows_own_entries():
+    # s_00 = s_01 = 0 and s_02 != 0: index 2 is swapped into 1, and row 0's
+    # entries at 1 and 2 must be exchanged with it, or b stays 0
+    assert linalg.inertia_and_determinant([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == ((2, 1, 0), -1)
+    assert linalg.inertia_and_determinant([[0, 0, 0, 3], [0, -1, 1, 0], [0, 1, 2, 0], [3, 0, 0, 1]]) == ((2, 2, 0), 27)
+    rng = random.Random(223)
+    for _ in range(40):
+        n = rng.randint(3, 8)
+        m = random_int_matrix(rng, n, n, span=2)
+        form = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+        form[0][0] = form[0][1] = form[1][0] = 0
+        form[0][n - 1] = form[n - 1][0] = rng.choice((1, -1, 2))
+        assert linalg.inertia_and_determinant(form) == full_storage_inertia_and_determinant(form)
+
+
+def test_inertia_and_determinant_zero_diagonal_pivot_is_one_of_each_sign():
+    # a 2 x 2 pivot with a = 0 has d = -b^2 < 0: one positive and one negative
+    # square, after a positive or a negative leading minor, whatever c is
+    cases = [
+        ([[0, 1], [1, 5]], ((1, 1, 0), -1)),
+        ([[0, 2], [2, -3]], ((1, 1, 0), -4)),
+        ([[-1, 0, 0], [0, 0, 1], [0, 1, 0]], ((1, 2, 0), 1)),
+        ([[3, 0, 0], [0, 0, 2], [0, 2, -1]], ((2, 1, 0), -12)),
+        ([[-2, 0, 0, 0], [0, 0, 1, 0], [0, 1, 4, 0], [0, 0, 0, -5]], ((1, 3, 0), -10)),
+    ]
+    for form, want in cases:
+        assert linalg.inertia_and_determinant(form) == want == full_storage_inertia_and_determinant(form)
+
+
+def test_inertia_and_determinant_zero_row_in_the_middle():
+    # row 1 of the block left after step 0 is zero: a null direction, split
+    # off with prev unchanged, and the last step is a 1 x 1 pivot
+    sympy = pytest.importorskip("sympy")
+    for form in (
+        [[1, 0, 1], [0, 0, 0], [1, 0, 2]],
+        [[2, 1, 0, 1], [1, 1, 0, 0], [0, 0, 0, 0], [1, 0, 0, -1]],
+        [[1, 1, 0, 0, 2], [1, 1, 0, 0, 2], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [2, 2, 0, 0, 1]],
+    ):
+        (pos, neg, null), det = linalg.inertia_and_determinant(form)
+        assert det == 0 == sympy.Matrix(form).det()
+        assert null == len(form) - sympy.Matrix(form).rank()
+        assert ((pos, neg, null), det) == full_storage_inertia_and_determinant(form)
+    assert linalg.inertia_and_determinant([[1, 0, 1], [0, 0, 0], [1, 0, 2]]) == ((2, 0, 1), 0)
+
+
+def test_inertia_and_determinant_odd_size_ends_on_a_one_by_one_step():
+    assert linalg.inertia_and_determinant([[0, 1, 0], [1, 0, 0], [0, 0, -3]]) == ((1, 2, 0), 3)
+    assert linalg.inertia_and_determinant([[2, 1, 0], [1, 2, 0], [0, 0, 5]]) == ((3, 0, 0), 15)
+    assert linalg.inertia_and_determinant([[-4]]) == ((0, 1, 0), -4)
+    assert linalg.inertia_and_determinant([[0]]) == ((0, 0, 1), 0)
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(227)
+    for _ in range(40):
+        n = rng.choice((1, 3, 5, 7))
+        m = random_int_matrix(rng, n, n, span=3)
+        form = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+        sig, det = linalg.inertia_and_determinant(form)
+        assert (sig, det) == full_storage_inertia_and_determinant(form)
+        assert det == sympy.Matrix(form).det()
 
 
 def test_inertia_and_determinant_match_bareiss_and_sympy():
@@ -411,7 +492,7 @@ def test_inertia_and_determinant_match_bareiss_and_sympy():
             m = random_int_matrix(rng, n, n, span=3)
             sym = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
         if trial % 3 == 0:
-            # an all-zero diagonal makes the elimination manufacture its pivots
+            # an all-zero diagonal makes the elimination pivot on pairs with a = 0
             for i in range(n):
                 sym[i][i] = 0
         sig, det = linalg.inertia_and_determinant(sym)
@@ -426,9 +507,11 @@ def test_inertia_and_determinant_on_rank_22_forms(monkeypatch):
 
     from k3z3 import classify, lattice
 
-    swaps = []  # the step at which each symmetric swap is made
+    swaps = []  # (step, s_tt, s_t,t+1) at each symmetric swap
     upper_swap = linalg._upper_swap
-    monkeypatch.setattr(linalg, "_upper_swap", lambda s, t, p: (swaps.append(t), upper_swap(s, t, p)))
+    monkeypatch.setattr(
+        linalg, "_upper_swap", lambda s, t, u: (swaps.append((t, s[t][t], s[t][t + 1])), upper_swap(s, t, u))
+    )
     rng = random.Random(61)
     for action_type in classify.enumerate_action_types():
         gram = lattice.assemble_type_lattice(action_type).gram  # 3H (zero diagonal), then Gamma16
@@ -436,22 +519,29 @@ def test_inertia_and_determinant_on_rank_22_forms(monkeypatch):
         for steps in (8, 64):
             u, _ = random_unimodular_pair(rng, 22, steps)
             forms.append((u.T @ gram @ u, None))
+        # 3H's three pairs: (0, 1), (2, 3), (4, 5), or (0, 5), (1, 4), (2, 3) in
+        # the torus block, which pairs e_i with e_(5-i)
+        pairs = sorted({(i, j) for i in range(6) for j in range(i, 6) if gram[i][j]})
         for k in (1, 3, 5):
-            # k vectors of Gamma16 first, then 3H and the rest of Gamma16
+            # k vectors of Gamma16 first, then 3H and the rest of Gamma16: a
+            # 1 x 1 or 2 x 2 step ends Gamma16's part just before 3H, whose
+            # pairs are 2 x 2 pivots with a = 0, after one swap at step k that
+            # brings e5 next to e0 in the torus block
             perm = [*range(6, 6 + k), *range(6), *range(6 + k, 22)]
-            forms.append(([[gram[i][j] for j in perm] for i in perm], k))
-        for form, k in forms:
+            forms.append(([[gram[i][j] for j in perm] for i in perm], [k] * (pairs[0] != (0, 1))))
+        # two pairs interleaved, x0, x1, y0, y1: step 0 swaps y0 in
+        (x0, y0), (x1, y1), (x2, y2) = pairs
+        perm = [x0, x1, y0, y1, x2, y2, *range(6, 22)]
+        forms.append(([[gram[i][j] for j in perm] for i in perm], [0]))
+        for form, steps in forms:
             swaps.clear()
             sig, det = linalg.inertia_and_determinant(form)
             assert sig == (3, 19, 0)
             assert det == linalg.bareiss_determinant(form) == DomainMatrix.from_list(form, sympy.ZZ).det() == -1
-            if k is not None:
-                # the zero-diagonal block is met first at step k and swapped
-                # behind Gamma16 until step 16, where all that is left is 3H
-                # with an all-zero diagonal: that pivot comes from the pair
-                # addition, with no swap
-                assert swaps[: 16 - k] == list(range(k, 16))
-                assert 16 not in swaps
+            # a swap is made only at a step whose pivot row starts with 0, 0
+            assert all(a == b == 0 for _, a, b in swaps)
+            if steps is not None:
+                assert [t for t, *_ in swaps] == steps
 
 
 def random_blocked_form(rng, n):
@@ -459,8 +549,8 @@ def random_blocked_form(rng, n):
 
     Blocks of size 1 to 4 are zero, hollow (an all-zero diagonal) or
     random.  Nothing couples the blocks, so a hollow block keeps its zero
-    diagonal until the elimination reaches it, and the pair addition can
-    make a pivot once for each hollow block.
+    diagonal until the elimination reaches it: there it takes 2 x 2 pivots
+    with a = 0, and a swap when its next entry s_t,t+1 is 0 too.
     """
     form = [[0] * n for _ in range(n)]
     start = 0
@@ -478,9 +568,12 @@ def random_blocked_form(rng, n):
     return [[form[i][j] for j in perm] for i in perm]
 
 
-def test_inertia_and_determinant_matches_full_storage_oracle():
+def test_inertia_and_determinant_matches_full_storage_oracle(monkeypatch):
+    swaps = []
+    upper_swap = linalg._upper_swap
+    monkeypatch.setattr(linalg, "_upper_swap", lambda s, t, u: (swaps.append(t), upper_swap(s, t, u)))
     rng = random.Random(157)
-    pair_counts = []
+    pair_counts, swap_counts = [], []
     for trial in range(400):
         n = rng.randint(0, 12)
         if trial % 4:
@@ -491,9 +584,13 @@ def test_inertia_and_determinant_matches_full_storage_oracle():
         pair_steps = []
         want = full_storage_inertia_and_determinant(form, pair_steps)
         pair_counts.append(len(pair_steps))
+        swaps.clear()
         assert linalg.inertia_and_determinant(form) == want
+        swap_counts.append(len(swaps))
         assert linalg.inertia_and_determinant(linalg.Matrix(form, n)) == want
+    # hollow blocks: the oracle adds pairs, and the two-step elimination swaps
     assert max(pair_counts) >= 3 and sum(c >= 2 for c in pair_counts) >= 50
+    assert sum(c >= 1 for c in swap_counts) >= 100
 
 
 def test_inertia_requires_symmetry():
