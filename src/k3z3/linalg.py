@@ -6,7 +6,9 @@ fraction-free (Bareiss) elimination, rational kernels gcd-scaled
 elimination, saturated integer kernels the Smith normal form, ranks
 mod 3 elimination over F_3, and the inertia of a symmetric form, with
 its determinant, two-step fraction-free symmetric elimination.  The
-package itself runs no Smith form; it stays as a reference kernel.
+Smith form runs on one augmented matrix that carries U and V along.
+No package code runs it; it stays here as the reference kernel that
+the tests and the benchmark's traced pass call by name.
 
 A `Matrix` is checked once, when built from nested sequences, so the
 results of its arithmetic and of the kernels need no second check.
@@ -35,8 +37,8 @@ from operator import add, index, mul, ne, sub
 class Matrix(tuple):
     """Immutable integer matrix: a tuple of row tuples of python ints.
 
-    `Matrix(rows, ncols)` checks `rows` as `int_rows` does (a Matrix passes
-    as it is), so no Matrix holds a non-int; `ncols` is read only without rows.
+    `Matrix(rows, ncols)` checks `rows` as `int_rows` does (a Matrix passes as
+    it is), so no Matrix holds a non-int; `ncols`, read only without rows, is a size.
     Supports `@` (one row operation per nonzero entry of the left factor:
     write the sparse factor first), `+`, `-`, `.T`, `.shape` and `.tolist()`.
     `==` is tuple equality (so any two matrices without rows are equal), item
@@ -45,7 +47,10 @@ class Matrix(tuple):
     """
 
     def __new__(cls, rows, ncols: int = 0):
-        return rows if type(rows) is Matrix else _matrix(int_rows(rows), ncols)
+        if type(rows) is Matrix:
+            return rows
+        rows = int_rows(rows)
+        return _matrix(rows, ncols if rows else _size(ncols))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -124,6 +129,12 @@ def _as_int(x) -> int:
         raise ValueError(f"expected integer entries, got {type(x).__name__}") from None
 
 
+def _size(n) -> int:
+    if not hasattr(type(n), "__index__") or index(n) < 0:
+        raise ValueError(f"expected a size >= 0, got {n!r}")
+    return index(n)
+
+
 def int_rows(a) -> list[list[int]]:
     """Fresh copy of an integer matrix as rows of python ints, checked unless a Matrix.
 
@@ -149,6 +160,7 @@ def int_rows(a) -> list[list[int]]:
 @lru_cache(maxsize=None)
 def identity(n: int) -> Matrix:
     """The n x n identity, built once per n and shared (Matrix is immutable)."""
+    n = _size(n)
     return _matrix([[int(i == j) for j in range(n)] for i in range(n)], n)
 
 
@@ -204,107 +216,63 @@ def bareiss_determinant(a) -> int:
             mik = row_i[k]
             for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * pkk - mik * row_k[j]) // prev
-            row_i[k] = 0
         prev = pkk
     return sign * m[n - 1][n - 1]
-
-
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(m, dst, src, factor):
-    """row_dst += factor * row_src"""
-    m[dst] = [x + factor * y for x, y in zip(m[dst], m[src])]
-
-
-def _add_col(m, dst, src, factor):
-    """col_dst += factor * col_src"""
-    for row in m:
-        row[dst] += factor * row[src]
 
 
 def smith_normal_form(a):
     """Diagonalize an integer matrix: U @ a @ V == D with U, V unimodular.
 
     The nonzero diagonal entries of D are positive and each divides the
-    next.
+    next.  The working matrix W = [[a, I_n], [I_m]] ends as [[D, U], [V]]:
+    a row operation on its first n rows acts on a and U at once, a column
+    operation on its first m columns on a and V.  The pivot is the first
+    smallest |entry| in row-major order, a nonzero remainder takes its
+    place, and the first row that it does not divide is added to its row.
     """
     a = Matrix(a)
     n, m = a.shape
-    d = int_rows(a)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    v = [[int(i == j) for j in range(m)] for i in range(m)]
-    t = 0
-    while t < min(n, m):
+    w = [[*row, *unit] for row, unit in zip(a, identity(n))] + [*map(list, identity(m))]
+    for t in range(min(n, m)):
         best = None
         for i in range(t, n):
-            row = d[i]
-            for j in range(t, m):
-                x = row[j]
-                if x != 0 and (best is None or abs(x) < best[0]):
+            for j, x in enumerate(w[i][t:m], t):
+                if x and (best is None or abs(x) < best[0]):
                     best = (abs(x), i, j)
         if best is None:
             break
-        _, bi, bj = best
-        if bi != t:
-            _swap_rows(d, t, bi)
-            _swap_rows(u, t, bi)
-        if bj != t:
-            _swap_cols(d, t, bj)
-            _swap_cols(v, t, bj)
+        _, i, j = best
+        w[t], w[i] = w[i], w[t]
+        for row in w:
+            row[t], row[j] = row[j], row[t]
         while True:
-            p = d[t][t]
-            dirty = False
-            for i in range(t + 1, n):
-                if d[i][t]:
-                    q = d[i][t] // p
-                    if q:
-                        _add_row(d, i, t, -q)
-                        _add_row(u, i, t, -q)
-                    if d[i][t]:
-                        # nonzero remainder beats the pivot; promote it
-                        _swap_rows(d, t, i)
-                        _swap_rows(u, t, i)
-                        dirty = True
-                        break
-            if dirty:
+            row_t = w[t]
+            p = row_t[t]
+            i = next((i for i in range(t + 1, n) if w[i][t]), None)
+            if i is not None:
+                q = w[i][t] // p
+                w[i] = [x - q * y for x, y in zip(w[i], row_t)]
+                if w[i][t]:
+                    w[t], w[i] = w[i], row_t
                 continue
-            for j in range(t + 1, m):
-                if d[t][j]:
-                    q = d[t][j] // p
-                    if q:
-                        _add_col(d, j, t, -q)
-                        _add_col(v, j, t, -q)
-                    if d[t][j]:
-                        _swap_cols(d, t, j)
-                        _swap_cols(v, t, j)
-                        dirty = True
-                        break
-            if dirty:
+            j = next((j for j in range(t + 1, m) if row_t[j]), None)
+            if j is not None:
+                q = row_t[j] // p
+                for row in w:
+                    row[j] -= q * row[t]
+                if row_t[j]:
+                    for row in w:
+                        row[t], row[j] = row[j], row[t]
                 continue
             # row and column are clear; force divisibility of the rest
-            p = d[t][t]
-            bad = None
-            for i in range(t + 1, n):
-                row = d[i]
-                if any(row[j] % p for j in range(t + 1, m)):
-                    bad = i
-                    break
+            bad = next((row for row in w[t + 1 : n] if any(x % p for x in row[t + 1 : m])), None)
             if bad is None:
                 break
-            _add_row(d, t, bad, 1)
-            _add_row(u, t, bad, 1)
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return _matrix(u, n), _matrix(d, m), _matrix(v, m)
+            w[t] = [*map(add, row_t, bad)]
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
+    u, d = [row[m:] for row in w[:n]], [row[:m] for row in w[:n]]
+    return _matrix(u, n), _matrix(d, m), _matrix(w[n:], m)
 
 
 def integer_kernel(a) -> Matrix:

@@ -12,7 +12,7 @@ from enum import Enum
 from math import gcd
 
 from .classify import ActionType
-from .fixed_data import K3, DiracIndex, FixedPointData, dirac_coefficients
+from .fixed_data import K3, DiracIndex, dirac_coefficients
 
 
 class Smoothability(Enum):
@@ -96,7 +96,7 @@ def verdict(t: ActionType, s: SurfaceModel) -> ObstructionVerdict:
     value +-1); NOT_APPLICABLE when the action is nontrivial on H+ or
     the invariant's value is not on record; NO_OBSTRUCTION otherwise.
     """
-    k = dirac_coefficients(FixedPointData(t.m_plus, t.m_minus))
+    k = dirac_coefficients(t.data)
     b_plus = K3.b_plus
     trivial, small = fang_hypotheses(t, k)
     sw = sw_mod3_nonzero(s)

@@ -1,5 +1,7 @@
 """Exact matrix kernels against independent oracles."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -29,6 +31,15 @@ def test_int_rows_validates_shape():
     with pytest.raises(ValueError):
         linalg.int_rows([[1, 2], [3]])
     assert linalg.int_rows([]) == []
+    # a matrix without rows reads its column count, which must be a size;
+    # so must the size of an identity
+    for bad in (-3, -1, 2.5, "2", None):
+        with pytest.raises(ValueError, match="size"):
+            linalg.Matrix([], bad)
+        with pytest.raises(ValueError, match="size"):
+            linalg.identity(bad)
+    assert linalg.Matrix([], np.int64(2)).shape == (0, 2)
+    assert linalg.identity(np.int64(2)) == linalg.identity(2)
 
 
 def test_int_rows_rejects_proper_fractions():
@@ -37,6 +48,10 @@ def test_int_rows_rejects_proper_fractions():
         linalg.int_rows([[Fraction(1, 2)]])
     with pytest.raises(ValueError, match="integer entries"):
         linalg.int_rows([[1.5]])
+    # the message names the type of an entry that is not an integer
+    for bad in (1.5, 2.0, "1", None):
+        with pytest.raises(ValueError, match=f"integer entries, got {type(bad).__name__}$"):
+            linalg.int_rows([[bad]])
 
 
 def test_int_rows_converts_a_non_int_in_a_later_row():
@@ -127,10 +142,17 @@ def test_bareiss_determinant_matches_sympy():
 
 def test_smith_normal_form_properties():
     rng = random.Random(29)
-    for _ in range(40):
-        n, m = rng.randint(1, 6), rng.randint(1, 6)
-        a = linalg.Matrix(random_int_matrix(rng, n, m))
+    cases = [linalg.Matrix(random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))) for _ in range(40)]
+    # no rows or no columns; entries beyond 2^64; a first pivot, 2, that does
+    # not divide the 3 left in the rest, so row 1 is added to row 0: diag(1, 6)
+    cases += [linalg.Matrix([[]] * n, m) for n, m in ((0, 0), (0, 3), (3, 0), (1, 0), (0, 1))]
+    shapes = ((1, 1), (2, 3), (4, 4), (5, 2))
+    cases += [linalg.Matrix(random_int_matrix(rng, n, m, span=2**70)) for n, m in shapes]
+    cases += [linalg.Matrix([[2, 0], [0, 3]]), linalg.Matrix([[3 * 2**65, 0], [0, 2 * 2**65]])]
+    for a in cases:
+        n, m = a.shape
         u, d, v = linalg.smith_normal_form(a)
+        assert (u.shape, d.shape, v.shape) == ((n, n), (n, m), (m, m))
         assert u @ a @ v == d
         assert abs(linalg.bareiss_determinant(u)) == abs(linalg.bareiss_determinant(v)) == 1
         diag = [d[i][i] for i in range(min(n, m))]
@@ -149,6 +171,7 @@ def test_smith_normal_form_properties():
                 seen_zero = True
             elif seen_zero:
                 pytest.fail("zero diagonal entry before a nonzero one")
+    assert linalg.smith_normal_form([[2, 0], [0, 3]])[1] == linalg.Matrix([[1, 0], [0, 6]])
 
 
 def test_smith_normal_form_handles_rank_deficiency():
@@ -157,6 +180,24 @@ def test_smith_normal_form_handles_rank_deficiency():
     assert u @ a @ v == d
     assert abs(linalg.bareiss_determinant(u)) == abs(linalg.bareiss_determinant(v)) == 1
     assert [d[i][i] for i in range(3)] == [1, 0, 0]
+    # a square matrix of rank 1: its kernel comes from the zero diagonal of D
+    ker = linalg.integer_kernel(a)
+    assert ker.shape == (3, 2) and a @ ker == linalg.Matrix([[0, 0]] * 3)
+    assert elementary_divisors(ker) == [1, 1]
+
+
+def test_smith_normal_form_is_pinned():
+    # U and V are not unique; these are the ones that the first smallest
+    # |entry| as pivot, the promotion of a nonzero remainder, the
+    # divisibility fix and the sign fix give, on seeded matrices of
+    # shape 0-6 x 0-6
+    rng = random.Random(191)
+    h = hashlib.sha256()
+    for _ in range(300):
+        n, m, span = rng.randint(0, 6), rng.randint(0, 6), rng.choice((1, 5, 1000))
+        a = linalg.Matrix([[rng.randint(-span, span) for _ in range(m)] for _ in range(n)], m)
+        h.update(json.dumps([(x.shape, x) for x in linalg.smith_normal_form(a)]).encode())
+    assert h.hexdigest() == "a47c7354d776c2240f71ab580b9550c7cfdbcbb67976e3066ef919b5039209c5"
 
 
 def test_smith_diagonal_matches_sympy_invariant_factors():
@@ -199,7 +240,7 @@ def test_rational_kernel_examples():
         linalg.rational_kernel([[Fraction(1, 3)]])
 
 
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [0, 1, 3])
 def test_kernels_of_a_matrix_without_rows(k):
     # a 0 x k Matrix keeps its column count, and its kernel is all of Q^k
     a = linalg.Matrix([], k)
