@@ -1,13 +1,24 @@
-"""Exact arithmetic in Q(zeta), zeta = exp(2*pi*i/3).
+"""Exact arithmetic in Q(zeta), zeta = exp(2*pi*i/3), with no floating point.
 
-Values are kept in the canonical basis {1, zeta}: every element is
-x + y*zeta with rational x, y, and the reduction zeta^2 = -1 - zeta is
-applied after every operation, so equality is a componentwise check.
-The production path is fully exact; the only floating-point view of
-these numbers lives in the test suite.
+Every element is x + y*zeta with rational x, y in the canonical basis
+{1, zeta}; zeta^2 = -1 - zeta is applied after every operation, so
+equality is a componentwise check.  Every operator reads its other
+operand by one rule (`_binary`): an int or a Fraction is a rational
+element, and anything else that is not a Cyclotomic gives NotImplemented.
 """
 
 from fractions import Fraction
+
+
+def _binary(op):
+    def method(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Cyclotomic(other)
+        elif not isinstance(other, Cyclotomic):
+            return NotImplemented
+        return op(self, other)
+
+    return method
 
 
 class Cyclotomic:
@@ -25,56 +36,16 @@ class Cyclotomic:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Cyclotomic(self.x + other.x, self.y + other.y)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Cyclotomic(self.x - other.x, self.y - other.y)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # (a + b z)(c + d z) = ac + (ad + bc) z + bd z^2 with z^2 = -1 - z
-        a, b, c, d = self.x, self.y, other.x, other.y
-        return Cyclotomic(a * c - b * d, a * d + b * c - b * d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __neg__(self):
-        return Cyclotomic(-self.x, -self.y)
-
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
+    __add__ = __radd__ = _binary(lambda s, o: Cyclotomic(s.x + o.x, s.y + o.y))
+    __sub__ = _binary(lambda s, o: Cyclotomic(s.x - o.x, s.y - o.y))
+    __rsub__ = _binary(lambda s, o: o - s)
+    # (a + b z)(c + d z) = ac + (ad + bc) z + bd z^2 with z^2 = -1 - z
+    __mul__ = __rmul__ = _binary(
+        lambda s, o: Cyclotomic(s.x * o.x - s.y * o.y, s.x * o.y + s.y * o.x - s.y * o.y)
+    )
+    __truediv__ = _binary(lambda s, o: s * o.inverse())
+    __rtruediv__ = _binary(lambda s, o: o * s.inverse())
+    __eq__ = _binary(lambda s, o: s.x == o.x and s.y == o.y)
 
     def __hash__(self):
         # rational values hash like their Fraction, so 1 == Cyclotomic(1) stays consistent
@@ -83,16 +54,13 @@ class Cyclotomic:
     def __bool__(self):
         return bool(self.x or self.y)
 
-    def norm(self) -> Fraction:
-        """Field norm x^2 - x*y + y^2; zero only at zero."""
-        return self.x * self.x - self.x * self.y + self.y * self.y
-
     def inverse(self) -> "Cyclotomic":
-        n = self.norm()
+        """conjugate / norm, the field norm x^2 - x*y + y^2 being zero only at zero."""
+        x, y = self.x, self.y
+        n = x * x - x * y + y * y
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(zeta)")
-        conj = self.conjugate()
-        return Cyclotomic(conj.x / n, conj.y / n)
+        return Cyclotomic((x - y) / n, -y / n)
 
     def conjugate(self) -> "Cyclotomic":
         """Galois substitution zeta -> zeta^2; an involution fixing rationals."""
@@ -111,15 +79,6 @@ class Cyclotomic:
         return f"Cyclotomic({self.x}, {self.y})"
 
 
-def _coerce(value):
-    if isinstance(value, Cyclotomic):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Cyclotomic(value)
-    return NotImplemented
-
-
-ZERO = Cyclotomic(0)
 ONE = Cyclotomic(1)
 ZETA = Cyclotomic(0, 1)
 

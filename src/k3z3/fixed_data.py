@@ -14,6 +14,7 @@ and the equivariant Dirac multiplicities are closed forms in m+ - m-.
 import re
 from collections import namedtuple
 from enum import Enum
+from operator import index
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -22,6 +23,14 @@ if TYPE_CHECKING:
 K3 = namedtuple("K3", "euler sign b2 b_plus b_minus")(24, -16, 22, 3, 19)
 # index of the Dirac operator on K3: -Sign/8 = 2
 DIRAC_INDEX = -K3.sign // 8
+
+
+def _integer(n) -> int:
+    """n as a python int, for any type with __index__; ValueError for anything else."""
+    try:
+        return index(n)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {n!r}") from None
 
 
 class FixedPointType(Enum):
@@ -33,7 +42,7 @@ class FixedPointType(Enum):
 
 def normalize_type(a: int, b: int) -> FixedPointType:
     """Classify local weights (a, b), invariant under swap and joint negation."""
-    ra, rb = a % 3, b % 3
+    ra, rb = _integer(a) % 3, _integer(b) % 3
     if ra == 0 or rb == 0:
         raise ValueError("action is not pseudofree at this point: weight = 0 mod 3")
     return FixedPointType.MINUS if ra == rb else FixedPointType.PLUS
@@ -45,13 +54,13 @@ class FixedPointData(namedtuple("FixedPointData", "m_plus m_minus")):
     __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))  # so _replace runs the checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.m_plus < 0 or self.m_minus < 0:
+    def __new__(cls, m_plus, m_minus):
+        m_plus, m_minus = _integer(m_plus), _integer(m_minus)
+        if m_plus < 0 or m_minus < 0:
             raise ValueError("fixed point counts must be nonnegative")
-        if self.m_plus + self.m_minus > K3.euler:  # 2 + trace on H^2 is at most 2 + b2
+        if m_plus + m_minus > K3.euler:  # 2 + trace on H^2 is at most 2 + b2
             raise ValueError(f"at most {K3.euler} fixed points are possible")
-        return self
+        return super().__new__(cls, m_plus, m_minus)
 
     @property
     def total(self) -> int:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .fixed_data import K3, FixedPointData
+from .fixed_data import K3, FixedPointData, _integer
 from .linalg import Matrix
 
 if TYPE_CHECKING:
@@ -100,6 +100,7 @@ def gamma16(k: int) -> GLattice:
     matrix is the coordinate permutation itself, and integral as long as
     the cycles avoid coordinate 16, hence k <= 5.
     """
+    k = _integer(k)
     if not 0 <= k <= 5:
         raise ValueError("k must lie in 0..5 (the 3-cycles must avoid coordinate 16)")
     s = [1] * 9 + [-1] * 6
@@ -211,7 +212,6 @@ def verify_lattice(L: GLattice) -> LatticeReport:
         # one unguarded symmetric elimination gives the inertia and the determinant
         sig, det = linalg._inertia_and_determinant(linalg.int_rows(g))
         fixed_sig = signature(fixed_sublattice(L)[1])
-        gt = g  # the isometry reads g itself
     else:
         sig, det, fixed_sig = None, linalg.bareiss_determinant(g), None
     order3 = linalg.cube_is_identity(a)

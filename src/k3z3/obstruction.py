@@ -12,7 +12,7 @@ from enum import Enum
 from math import gcd
 
 from .classify import ActionType
-from .fixed_data import K3, DiracIndex, dirac_coefficients
+from .fixed_data import K3, DiracIndex, _integer, dirac_coefficients
 
 
 class Smoothability(Enum):
@@ -21,7 +21,7 @@ class Smoothability(Enum):
     NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
-class SurfaceModel(namedtuple("SurfaceModel", "kind p q", defaults=(1, 1))):
+class SurfaceModel(namedtuple("SurfaceModel", "kind p q")):
     """A smooth structure on (a manifold homeomorphic to) K3.
 
     kind "standard_k3" is the standard smooth structure.  kind "e2pq"
@@ -33,13 +33,13 @@ class SurfaceModel(namedtuple("SurfaceModel", "kind p q", defaults=(1, 1))):
     __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))  # so _replace runs the checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in ("standard_k3", "e2pq"):
-            raise ValueError(f"unknown surface kind {self.kind!r}")
-        if self.p < 1 or self.q < 1:
+    def __new__(cls, kind, p=1, q=1):
+        if kind not in ("standard_k3", "e2pq"):
+            raise ValueError(f"unknown surface kind {kind!r}")
+        p, q = _integer(p), _integer(q)
+        if p < 1 or q < 1:
             raise ValueError("fiber multiplicities must be positive")
-        return self
+        return super().__new__(cls, kind, p, q)
 
     @staticmethod
     def standard() -> "SurfaceModel":

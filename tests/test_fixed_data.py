@@ -54,9 +54,11 @@ def test_normalize_type_invariances():
             assert normalize_type(-a, -b) == t
 
 
-@pytest.mark.parametrize("a, b", [(0, 1), (1, 0), (3, 2), (2, 6), (0, 0)])
+@pytest.mark.parametrize("a, b", [(0, 1), (1, 0), (3, 2), (2, 6), (0, 0), (1.5, 2), (1, "two")])
 def test_normalize_type_rejects_zero_weights(a, b):
-    with pytest.raises(ValueError, match="not pseudofree"):
+    # a weight that is not an integer is refused before its residue is read
+    match = "not pseudofree" if type(a) is type(b) is int else "expected an integer"
+    with pytest.raises(ValueError, match=match):
         normalize_type(a, b)
 
 
@@ -166,10 +168,15 @@ def test_fixed_point_data_validation():
         FixedPointData(-1, 0)
     with pytest.raises(ValueError):
         FixedPointData(0, -2)
-    with pytest.raises(ValueError, match="at most 24"):
+    with pytest.raises(ValueError, match="nonnegative"):
+        FixedPointData(0, -1)
+    with pytest.raises(ValueError, match="at most 24 fixed points are possible"):
         FixedPointData(20, 5)
     d = FixedPointData(20, 4)
     assert d.total == 24 and d.difference == 16
+    # a count of any integer type is stored as a python int
+    d = FixedPointData(True, 6)
+    assert d == (1, 6) and type(d.m_plus) is int
 
 
 def test_parse_fixed_data():
@@ -182,10 +189,20 @@ def test_parse_fixed_data():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "(1,2)x", "(1)x3", "1,2x3", "(1,2)y3", "(1,2)x3,,(1,1)x1", "(1,2)x3 (1,1)x6"],
+    [
+        "",
+        "(1,2)x",
+        "(1)x3",
+        "1,2x3",
+        "(1,2)y3",
+        "(1,2)x3,,(1,1)x1",
+        "(1,2)x3 (1,1)x6",
+        "(1,2)x-1,(1,2)x3",
+        "(1;2)x3",
+    ],
 )
 def test_parse_fixed_data_rejects_malformed(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot parse fixed-point entry"):
         parse_fixed_data(text)
 
 

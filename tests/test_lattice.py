@@ -101,9 +101,10 @@ def test_gamma16_trace_and_fixed_rank():
     assert fixed_sublattice(L)[0].shape[1] == 8
 
 
-@pytest.mark.parametrize("k", [-1, 6, 12])
+@pytest.mark.parametrize("k", [-1, 6, 12, 5.0, "3"])
 def test_gamma16_rejects_bad_cycle_counts(k):
-    with pytest.raises(ValueError, match="0..5"):
+    match = "0..5" if type(k) is int else "expected an integer"
+    with pytest.raises(ValueError, match=match):
         gamma16(k)
 
 

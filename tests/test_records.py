@@ -42,20 +42,22 @@ def test_record_fields_cannot_be_assigned_or_deleted(record, field):
     assert getattr(record, field) is before
 
 
-# the records whose constructor checks its fields, with one invalid change each
+# the records whose constructor checks its fields, with invalid changes to each;
+# a count or a multiplicity must be an integer, not a float or a string
 VALIDATED = [
-    (action_type("A1"), {"m_plus": 4}),
-    (FixedPointData(3, 6), {"m_plus": -1}),
-    (SurfaceModel.elliptic(3, 7), {"p": 0}),
+    (action_type("A1"), [{"m_plus": 4}]),
+    (FixedPointData(3, 6), [{"m_plus": -1}, {"m_plus": 6.0}, {"m_minus": "6"}]),
+    (SurfaceModel.elliptic(3, 7), [{"p": 0}, {"q": 0}, {"p": 3.0}, {"q": "7"}]),
 ]
 
 
-@pytest.mark.parametrize("record, change", VALIDATED, ids=[type(r).__name__ for r, _ in VALIDATED])
-def test_replace_runs_the_constructor_checks(record, change):
-    with pytest.raises(ValueError):
-        record._replace(**change)
-    with pytest.raises(ValueError):
-        type(record)._make({**record._asdict(), **change}.values())
+@pytest.mark.parametrize("record, changes", VALIDATED, ids=[type(r).__name__ for r, _ in VALIDATED])
+def test_replace_runs_the_constructor_checks(record, changes):
+    for change in changes:
+        with pytest.raises(ValueError):
+            record._replace(**change)
+        with pytest.raises(ValueError):
+            type(record)._make({**record._asdict(), **change}.values())
     assert record._replace() == record and type(record._replace()) is type(record)
 
 
@@ -70,6 +72,7 @@ def test_glattice_compares_by_identity():
 
 def test_record_reprs():
     assert repr(FixedPointData(3, 6)) == "FixedPointData(m_plus=3, m_minus=6)"
+    assert repr(SurfaceModel.standard()) == "SurfaceModel(kind='standard_k3', p=1, q=1)"
     assert repr(action_type("A1")) == (
         "ActionType(name='A1', fixed_count=9, m_plus=3, m_minus=6, b2_G=12, "
         "bplus_G=3, bminus_G=9, sign_quotient=-6, euler_quotient=14)"
