@@ -11,7 +11,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .fixed_data import K3, FixedPointData
+from .fixed_data import K3, FixedPointData, _integer
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -61,7 +61,8 @@ class ActionType(
     _make = classmethod(lambda cls, it: cls(*it))  # so _replace runs the checks too
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        name, *counts = super().__new__(cls, *args, **kwargs)
+        self = super().__new__(cls, name, *map(_integer, counts))
         consistent = (
             self.fixed_count == self.m_plus + self.m_minus
             and self.b2_G == self.bplus_G + self.bminus_G

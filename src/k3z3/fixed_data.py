@@ -14,6 +14,7 @@ and the equivariant Dirac multiplicities are closed forms in m+ - m-.
 import re
 from collections import namedtuple
 from enum import Enum
+from itertools import accumulate
 from operator import index
 from typing import TYPE_CHECKING
 
@@ -63,10 +64,6 @@ class FixedPointData(namedtuple("FixedPointData", "m_plus m_minus")):
         return super().__new__(cls, m_plus, m_minus)
 
     @property
-    def total(self) -> int:
-        return self.m_plus + self.m_minus
-
-    @property
     def difference(self) -> int:
         return self.m_plus - self.m_minus
 
@@ -79,31 +76,20 @@ def parse_fixed_data(text: str) -> FixedPointData:
     """Parse a fixed-point multiset such as "(1,2)x3,(1,1)x6".
 
     Whitespace is ignored; each entry is a weight pair with an optional
-    multiplicity (default 1).  Weight pairs are classified through
-    normalize_type, so any representative of a type is accepted.
+    multiplicity (default 1).  Entries are split at the commas of depth 0,
+    the depth counting each "(" before the comma as +1 and each ")" as -1.
+    Weight pairs are classified through normalize_type, so any
+    representative of a type is accepted.
     """
-    parts: list[str] = []
-    depth, cur = 0, []
-    for ch in text:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur.append(ch)
-    parts.append("".join(cur))
-
+    depths = accumulate(text, lambda depth, ch: depth + (ch == "(") - (ch == ")"), initial=0)
+    cuts = [i for i, (ch, depth) in enumerate(zip(text, depths)) if ch == "," and depth == 0]
     counts = {FixedPointType.PLUS: 0, FixedPointType.MINUS: 0}
-    for part in parts:
-        part = part.strip()
+    for start, end in zip([-1, *cuts], [*cuts, len(text)]):
+        part = text[start + 1 : end].strip()
         m = re.match(_ENTRY, part)
         if not m:
             raise ValueError(f"cannot parse fixed-point entry {part!r}")
-        mult = int(m.group(3)) if m.group(3) else 1
-        counts[normalize_type(int(m.group(1)), int(m.group(2)))] += mult
+        counts[normalize_type(int(m[1]), int(m[2]))] += int(m[3] or 1)
     return FixedPointData(counts[FixedPointType.PLUS], counts[FixedPointType.MINUS])
 
 

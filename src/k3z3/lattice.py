@@ -308,6 +308,7 @@ def g_signature_of_lattice(L: GLattice) -> int:
 def check_rep(L: GLattice, fixed_count: int) -> bool:
     """Module splitting condition: no rank-2 summands, and exactly
     fixed_count - 2 trivial summands."""
+    fixed_count = _integer(fixed_count)
     if fixed_count < 2:
         raise ValueError("fixed_count must be at least 2")
     dec = module_decomposition(L)
@@ -331,7 +332,7 @@ def check_lefschetz(L: GLattice, fixed_count: int) -> bool:
     """Fixed-point count 2 + tr(action) = #fixed, for a rank-22 model."""
     if L.rank != K3.b2:
         raise ValueError("not a K3 intersection form model")
-    return 2 + L.trace == fixed_count
+    return 2 + L.trace == _integer(fixed_count)
 
 
 _TRIVIAL = GLattice(_THREE_H, linalg.identity(6), label="3H(trivial)")

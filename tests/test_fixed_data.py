@@ -173,7 +173,7 @@ def test_fixed_point_data_validation():
     with pytest.raises(ValueError, match="at most 24 fixed points are possible"):
         FixedPointData(20, 5)
     d = FixedPointData(20, 4)
-    assert d.total == 24 and d.difference == 16
+    assert d.m_plus + d.m_minus == 24 and d.difference == 16
     # a count of any integer type is stored as a python int
     d = FixedPointData(True, 6)
     assert d == (1, 6) and type(d.m_plus) is int
@@ -204,6 +204,25 @@ def test_parse_fixed_data():
 def test_parse_fixed_data_rejects_malformed(text):
     with pytest.raises(ValueError, match="cannot parse fixed-point entry"):
         parse_fixed_data(text)
+
+
+@pytest.mark.parametrize(
+    "text, part",
+    [
+        # a comma splits only at depth 0, the depth read from the left, so
+        # an unmatched ")" makes it negative and hides the next comma
+        (")(1,2),(1,1)", ")(1"),
+        ("(1,2))x3,(1,1)", "(1,2))x3,(1"),
+        ("(1,(2)x3),(1,1)", "(1,(2)x3)"),
+        ("((1,2)x3", "((1,2)x3"),
+        # each part is named stripped
+        ("(1,2)x3, (1;2) \t,(1,1)", "(1;2)"),
+    ],
+)
+def test_parse_fixed_data_names_the_part_split_at_depth_zero(text, part):
+    with pytest.raises(ValueError) as exc:
+        parse_fixed_data(text)
+    assert str(exc.value) == f"cannot parse fixed-point entry {part!r}"
 
 
 def test_parse_fixed_data_rejects_zero_weights():

@@ -341,8 +341,15 @@ def test_check_rep_examples():
     assert check_rep(a1, 9) is True
     assert check_rep(b, 3) is True
     assert check_rep(a1, 6) is False
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(ValueError, match="^fixed_count must be at least 2$"):
         check_rep(a1, 1)
+    # 2 fixed points ask for no trivial and no rank-2 summand: the
+    # hexagonal plane is one rank-2 summand
+    assert check_rep(a1, 2) is False and check_rep(hexagonal_plane(), 2) is False
+    # the count is read as an integer: a float or a string is refused
+    for count in (9.0, "9"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            check_rep(a1, count)
 
 
 def test_check_gsf_examples():
@@ -357,8 +364,11 @@ def test_check_lefschetz_examples():
     assert check_lefschetz(assemble_type_lattice(action_type("A1")), 9) is True
     assert check_lefschetz(assemble_type_lattice(action_type("A2")), 12) is True
     assert check_lefschetz(assemble_type_lattice(action_type("B")), 6) is False
-    with pytest.raises(ValueError, match="K3"):
+    with pytest.raises(ValueError, match="^not a K3 intersection form model$"):
         check_lefschetz(hyperbolic(), 2)
+    for count in (9.0, "9"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            check_lefschetz(assemble_type_lattice(action_type("A1")), count)
 
 
 def test_assembled_models_satisfy_every_hypothesis():

@@ -45,7 +45,7 @@ def test_record_fields_cannot_be_assigned_or_deleted(record, field):
 # the records whose constructor checks its fields, with invalid changes to each;
 # a count or a multiplicity must be an integer, not a float or a string
 VALIDATED = [
-    (action_type("A1"), [{"m_plus": 4}]),
+    (action_type("A1"), [{"m_plus": 4}, {"m_plus": 3.0}, {"fixed_count": "9"}]),
     (FixedPointData(3, 6), [{"m_plus": -1}, {"m_plus": 6.0}, {"m_minus": "6"}]),
     (SurfaceModel.elliptic(3, 7), [{"p": 0}, {"q": 0}, {"p": 3.0}, {"q": "7"}]),
 ]

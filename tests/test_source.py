@@ -18,6 +18,16 @@ def test_no_assert_statements_in_the_package():
     assert SOURCES and not found
 
 
+def test_no_source_line_passes_100_columns():
+    long = [
+        f"{path.name}:{lineno}"
+        for path in SOURCES
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert SOURCES and not long
+
+
 def test_cli_imports_no_rational_arithmetic(run_python):
     # the CLI computes on ints: Q(zeta) and Fraction stay out of its process
     code = (
