@@ -68,6 +68,13 @@ class FixedPointData(namedtuple("FixedPointData", "m_plus m_minus")):
         return self.m_plus - self.m_minus
 
 
+def _difference(d) -> int:
+    """m+ - m- of the data `d`; ValueError unless `d` is a FixedPointData."""
+    if not isinstance(d, FixedPointData):
+        raise ValueError(f"expected FixedPointData, got {type(d).__name__}")
+    return d.difference
+
+
 # a pattern string: re compiles and caches it on the first parse, not at import
 _ENTRY = r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)\s*(?:x\s*(\d+)\s*)?$"
 
@@ -101,7 +108,7 @@ def g_signature_of_data(d: FixedPointData) -> "Fraction":
     """
     from fractions import Fraction  # only a library caller pays for the import
 
-    return Fraction(d.difference, 3)
+    return Fraction(_difference(d), 3)
 
 
 class DiracIndex(namedtuple("DiracIndex", "k0 k1 k2")):
@@ -126,7 +133,7 @@ def dirac_coefficients(d: FixedPointData) -> DiracIndex:
     (2 - s)/3 and k0 = 2 - 2 k1, integers exactly when
     m_plus - m_minus = 6 mod 9.
     """
-    k1, r = divmod(3 * DIRAC_INDEX - d.difference, 9)
+    k1, r = divmod(3 * DIRAC_INDEX - _difference(d), 9)
     if r:
         raise ValueError("fixed data admits no consistent spin lift: m+ - m- != 6 (mod 9)")
     return DiracIndex(DIRAC_INDEX - 2 * k1, k1, k1)

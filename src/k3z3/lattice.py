@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .fixed_data import K3, FixedPointData, _integer
+from .fixed_data import K3, FixedPointData, _difference, _integer
 from .linalg import Matrix
 
 if TYPE_CHECKING:
@@ -321,11 +321,12 @@ def check_gsf(L: GLattice, d: FixedPointData) -> bool:
     Checking g settles g^2 as well: the two fix the same sublattice, so
     they have the same lattice g-signature, and each defect is rational,
     so the defect sum equals its Galois conjugate.  Raises ValueError
-    unless the action has order 3.
+    unless `d` is a FixedPointData and the action has order 3.
     """
+    difference = _difference(d)
     if not verify_lattice(L).order3:
         raise ValueError(_ORDER_ERROR)
-    return 3 * g_signature_of_lattice(L) == d.difference
+    return 3 * g_signature_of_lattice(L) == difference
 
 
 def check_lefschetz(L: GLattice, fixed_count: int) -> bool:

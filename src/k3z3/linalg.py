@@ -15,8 +15,8 @@ results of its arithmetic and of the kernels need no second check.
 Each kernel reads its argument as a `Matrix`, or copies it once to
 fresh rows (`int_rows`, which checks only what is not a `Matrix`) that
 it reduces in place; the symmetric elimination keeps one triangle of
-the block left at each step, the rank mod 3 each row's nonzero
-residues, the rational kernel each kept row's nonzero entries.
+the block left at each step, the rank mod 3 each row as two bit masks
+(bit-sliced), the rational kernel each kept row's nonzero entries.
 Matrices that are kept or handed back (the GLattice forms, the Smith
 form and the kernels) are `Matrix` values: immutable, exact, and with
 only the arithmetic the callers use.
@@ -172,23 +172,27 @@ def block_diag(a, b) -> Matrix:
 
 
 def cube_is_identity(a) -> bool:
-    """Whether a @ a @ a is the identity, by products of packed sparse rows.
+    """Whether a @ a @ a is the identity, by products of packed rows.
 
-    Row i of `a` packs to sum_j a_ij 2^(k j); two passes over the nonzero
-    entries of `a` give the packed rows of a^2 and a^3.  As n^2 |a|^3 + 1 <
-    2^(k - 1) bounds every entry of a^3 - 1 and balanced base-2^k digits
-    are unique, row i of a^3 is the unit row exactly when it packs to 2^(k i).
+    Row i of `a` packs to sum_j a_ij 2^(k j); two passes over the flat list
+    of nonzero entries (i, j, a_ij) give the packed rows of a^2 and a^3.  As
+    n^2 |a|^3 + 1 < 2^(k - 1) bounds every entry of a^3 - 1 and balanced base-2^k
+    digits are unique, row i of a^3 is the unit row exactly when it packs to 2^(k i).
     """
     a = Matrix(a)
     n, m = a.shape
     if n != m:
         raise ValueError(f"shape mismatch: {a.shape} @ {a.shape}")
-    rows = [[(j, row[j]) for j in compress(range(n), row)] for row in a]
-    big = max([abs(x) for row in rows for _, x in row], default=0)
+    entries = [(i, j, row[j]) for i, row in enumerate(a) for j in compress(range(n), row)]
+    big = max([abs(x) for _, _, x in entries], default=0)
     k = (n * n * big**3 + 1).bit_length() + 1
-    packed = [sum(x << k * j for j, x in row) for row in rows]
+    packed = [0] * n
+    for i, j, x in entries:
+        packed[i] += x << k * j
     for _ in range(2):
-        packed = [sum(x * packed[j] for j, x in row) for row in rows]
+        prev, packed = packed, [0] * n
+        for i, j, x in entries:
+            packed[i] += x * prev[j]
     return all(p == 1 << k * i for i, p in enumerate(packed))
 
 
@@ -296,7 +300,8 @@ def rational_kernel(a) -> Matrix:
     a kernel vector.  The relations are triangular in the unit vectors,
     hence independent.  They span a full-rank sublattice of the integer
     kernel, which need not be saturated.  A kept row is a dict of its
-    nonzero entries, and a reduction subtracts only at those.
+    nonzero entries, and a reduction subtracts only at those.  A factor -1
+    (a pivot -1, usual on a - 1) flips a sign applied with the content division.
     """
     a = Matrix(a)
     n, m = a.shape
@@ -305,17 +310,20 @@ def rational_kernel(a) -> Matrix:
     unit = identity(m)
     for k, col in enumerate(a.T):
         r = [*col, *unit[k]]
+        sign = 1  # the reduced row is sign * r
         for piv, krow in kept:
             x = r[piv]
             if x:
                 g = gcd(krow[piv], x)
                 p, x = krow[piv] // g, x // g
-                if p != 1:
+                if p == -1:
+                    sign, x = -sign, -x
+                elif p != 1:
                     r = [p * u for u in r]
                 for j, v in krow.items():
                     r[j] -= x * v
-        content = gcd(*r)
-        if content > 1:
+        content = gcd(*r) * sign
+        if content != 1:
             r = [u // content for u in r]
         piv = next(compress(range(n), r), None)
         if piv is None:
@@ -326,25 +334,29 @@ def rational_kernel(a) -> Matrix:
 
 
 def rank_mod3(a) -> int:
-    """Rank over F_3 of an integer matrix, by Gaussian elimination mod 3.
+    """Rank over F_3 of an integer matrix, by Gaussian elimination on bit-sliced rows.
 
-    Each row, a dict of its nonzero residues, is reduced by the kept row
-    pivoting on its lowest column until it vanishes or takes that pivot.
+    Each row is two masks of its entries 1 and 2 mod 3 (Boothby-Bradshaw,
+    arXiv:0901.1413).  The kept row pivoting on its lowest set bit is added to
+    it, or subtracted (the masks swapped), until it vanishes or takes that pivot.
     """
-    pivots = {}  # lowest column -> kept row
+    pivots = {}  # lowest set bit -> kept row's masks
     for row in Matrix(a):
-        r = {j: row[j] % 3 for j in compress(range(len(row)), row) if row[j] % 3}
-        while r:
-            col = min(r)
-            prow = pivots.get(col)
+        masks = [0, 0, 0]
+        for j in compress(range(len(row)), row):
+            masks[row[j] % 3] |= 1 << j
+        _, ones, twos = masks
+        while nz := ones | twos:
+            low = nz & -nz
+            prow = pivots.get(low)
             if prow is None:
-                pivots[col] = r
+                pivots[low] = (ones, twos)
                 break
-            # 1 and 2 are their own inverses mod 3
-            f = r[col] * prow[col] % 3
-            for j, y in prow.items():
-                if x := (r.pop(j, 0) - f * y) % 3:
-                    r[j] = x
+            p1, p2 = prow
+            if not (ones ^ p1) & low:  # the same entry at the pivot: subtract
+                p1, p2 = p2, p1
+            t = ones | p2
+            ones, twos = t ^ ((p1 | p2) & ~twos), t ^ (nz & ~p1)
     return len(pivots)
 
 

@@ -18,10 +18,11 @@ symmetric elimination, which kept and swapped the whole symmetric block,
 took one pivot per step and made one from a pair addition on an all-zero
 diagonal.  The package's two-step elimination takes other pivots, so the
 oracle pins only its results, the inertia and the determinant, on every
-sweep that reads it.  In the same way `product_cube_is_identity` and `dense_rational_kernel` are the
-dense routes that the packed order-3 check and the sparse rational kernel
-replaced, and `exterior_square` is the generic wedge^2 that the torus
-model's closed form replaced.
+sweep that reads it.  In the same way `product_cube_is_identity` and
+`dense_rational_kernel` are the dense routes that the packed order-3 check
+and the sparse rational kernel replaced, `dict_rank_mod3` the elimination on
+dict rows that the bit-sliced rank mod 3 replaced, and `exterior_square`
+the generic wedge^2 that the torus model's closed form replaced.
 Basis changes multiply the package's `Matrix` values, whose arithmetic
 test_linalg checks against numpy object arrays.  `seeded_lattice_inputs`
 copies the benchmark's seeded input stream, so that the records pinned in
@@ -266,10 +267,11 @@ def product_cube_is_identity(a) -> bool:
     return a @ (a @ a) == identity(len(a))
 
 
-def dense_rational_kernel(a) -> Matrix:
+def dense_rational_kernel(a, factors=None) -> Matrix:
     """The rational kernel as it was before sparse kept rows: every reduction
     rewrites the whole row.  It pins the sparse version to the same
-    reductions and the same columns."""
+    reductions and the same columns.  The factor p by which each reduction
+    scales the row is appended to `factors` when it is given."""
     a = Matrix(a)
     n, m = a.shape
     kept = []  # (pivot column, reduced row)
@@ -282,6 +284,8 @@ def dense_rational_kernel(a) -> Matrix:
             if x:
                 g = math.gcd(krow[piv], x)
                 p, x = krow[piv] // g, x // g
+                if factors is not None:
+                    factors.append(p)
                 r = [p * u - x * v for u, v in zip(r, krow)]
         content = math.gcd(*r)
         if content > 1:
@@ -292,6 +296,27 @@ def dense_rational_kernel(a) -> Matrix:
         else:
             kept.append((piv, r))
     return Matrix(kernel, m).T
+
+
+def dict_rank_mod3(a) -> int:
+    """The rank mod 3 as it was before bit-sliced rows: each row, a dict of
+    its nonzero residues, is reduced by the kept row pivoting on its lowest
+    column until it vanishes or takes that pivot."""
+    pivots = {}  # lowest column -> kept row
+    for row in Matrix(a):
+        r = {j: x % 3 for j, x in enumerate(row) if x % 3}
+        while r:
+            col = min(r)
+            prow = pivots.get(col)
+            if prow is None:
+                pivots[col] = r
+                break
+            # 1 and 2 are their own inverses mod 3
+            f = r[col] * prow[col] % 3
+            for j, y in prow.items():
+                if x := (r.pop(j, 0) - f * y) % 3:
+                    r[j] = x
+    return len(pivots)
 
 
 def exterior_square(m) -> list[list[int]]:

@@ -179,6 +179,17 @@ def test_fixed_point_data_validation():
     assert d == (1, 6) and type(d.m_plus) is int
 
 
+@pytest.mark.parametrize("d", [(3, 6), None, [3, 6], (3, 6, 0)])
+def test_counts_are_read_only_as_fixed_point_data(d):
+    from k3z3 import action_type, assemble_type_lattice, check_gsf
+
+    L = assemble_type_lattice(action_type("A1"))  # order 3, so only d can be refused
+    for call in (dirac_coefficients, g_signature_of_data, lambda d: check_gsf(L, d)):
+        with pytest.raises(ValueError, match=f"^expected FixedPointData, got {type(d).__name__}$"):
+            call(d)
+    assert check_gsf(L, FixedPointData(*action_type("A1").data)) is True
+
+
 def test_parse_fixed_data():
     d = parse_fixed_data("(1,2)x3,(1,1)x6")
     assert (d.m_plus, d.m_minus) == (3, 6)

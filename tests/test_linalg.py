@@ -13,6 +13,7 @@ from k3z3 import linalg
 
 from _oracles import (
     dense_rational_kernel,
+    dict_rank_mod3,
     elementary_divisors,
     full_storage_inertia_and_determinant,
     naive_determinant,
@@ -275,6 +276,7 @@ def test_rational_kernel_matches_the_dense_route():
     rng = random.Random(181)
     shapes = [(0, k) for k in range(9)] + [(k, 0) for k in range(9)]
     shapes += [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(240)]
+    factors = []  # of every reduction, from the dense route
     for trial, (n, m) in enumerate(shapes):
         if n == 0 or m == 0:
             a = linalg.Matrix([[]] * n, m)
@@ -293,10 +295,32 @@ def test_rational_kernel_matches_the_dense_route():
             r = rng.randint(0, min(n, m))
             left = linalg.Matrix(random_int_matrix(rng, n, r, span=3), r)
             a = left @ linalg.Matrix(random_int_matrix(rng, r, m, span=3), m)
-        want = dense_rational_kernel(a)
+        want = dense_rational_kernel(a, factors)
         got = linalg.rational_kernel(a)
         assert (got, got.shape) == (want, want.shape), a
         assert got == linalg.rational_kernel(a.tolist() if n else linalg.Matrix([], m))
+    # a - 1 of the seeded rank-22 inputs, one in ten with an entry moved; on
+    # these a factor -1 is usual, and the sparse route flips a sign for it
+    rank22 = []
+    for action in [*_seeded_actions(8, 10), *_seeded_actions(64, 10)]:
+        a = action - linalg.identity(22)
+        want = dense_rational_kernel(a, rank22)
+        assert linalg.rational_kernel(a) == want
+    assert rank22.count(-1) >= 150 and factors.count(-1) >= 150
+    assert sum(p not in (1, -1) for p in factors + rank22) >= 1000
+
+
+def _seeded_actions(steps, count):
+    """The actions of the first `count` seeded verify inputs, as Matrix values."""
+    from k3z3 import classify, lattice
+
+    from _oracles import seeded_lattice_inputs
+
+    models = {}
+    for t in classify.enumerate_action_types():
+        L = lattice.assemble_type_lattice(t)
+        models[t.name] = (L.gram.tolist(), L.action.tolist())
+    return [linalg.Matrix(action) for _, _, action in seeded_lattice_inputs(1, models, steps, count)]
 
 
 def _order3_block(rng):
@@ -329,9 +353,12 @@ def test_cube_is_identity_matches_the_product_route():
             cases.append([[big] * n] * n)
             cases.append([[-big] * n] * n)
             cases.append([[rng.choice((-big, big)) for _ in range(n)] for _ in range(n)])
+    # the seeded rank-22 actions, one in ten with an entry moved
+    cases += [*_seeded_actions(8, 10), *_seeded_actions(64, 10)]
     for a in cases:
         assert linalg.cube_is_identity(a) is product_cube_is_identity(a), a
     assert sum(map(product_cube_is_identity, cases)) > 150
+    assert sum(map(product_cube_is_identity, cases[-20:])) == 18
 
 
 def test_cube_is_identity_sees_past_a_vector_that_a_fixes():
@@ -358,6 +385,101 @@ def test_cube_is_identity_sees_a_carry_in_the_cube():
     assert cube[2][:3] == (8, -1, 1) and cube[:2] + cube[3:] == linalg.identity(7)[:2] + linalg.identity(7)[3:]
     for k in range(16):
         assert not linalg.cube_is_identity(linalg.block_diag(a, linalg.identity(k))), k
+
+
+# for a bound on the entries of an n x n cube narrower than n^2 |a|^3, the
+# width k = (bound + 1).bit_length() + 1 it gives and rows 2.. of a matrix
+# a = [[1, 0], [V, Q]] whose cube other than 1 packs to the unit rows at k
+NARROWER_WIDTH_WITNESSES = {
+    "n |a|^3": (
+        lambda n, a: n * a**3,
+        9,
+        [
+            [-2, 0, -2, 2, -3, -2, 2, -3, -3],
+            [3, -3, 3, -2, 3, 2, -3, 3, 3],
+            [-3, 1, 3, -3, -1, 3, 3, -2, -3],
+            [2, -1, 0, 0, -3, -2, 0, -3, 0],
+            [3, -1, 0, 3, -3, -2, 1, -3, -3],
+            [-3, -2, -3, 3, 2, -2, -3, 3, 3],
+            [-3, 0, 3, 0, 2, 1, -2, 2, 1],
+        ],
+    ),
+    "2 n |a|^3": (
+        lambda n, a: 2 * n * a**3,
+        6,
+        [
+            [1, 1, -1, 1, 1, 0, 0, -1, 0, 0, -1, 0, 1],
+            [-1, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0],
+            [-1, 1, 0, 0, -1, 1, 0, 1, -1, 1, 1, 0, 0],
+            [1, 0, 0, -1, -1, 0, 0, 1, 0, 1, 1, 0, -1],
+            [1, 1, 1, -1, -1, 1, 0, 1, -1, 0, 1, 0, -1],
+            [1, -1, 1, 0, -1, 1, 1, 0, 0, 1, 1, 0, -1],
+            [-1, 1, 1, -1, -1, 1, 1, 1, -1, 1, 1, 0, -1],
+            [-1, 1, -1, 1, 1, -1, 0, -1, 0, -1, -1, 0, 1],
+            [1, 0, 1, -1, -1, 1, 0, 1, -1, 0, 0, 0, 0],
+            [1, 1, -1, -1, 1, 1, 1, 1, 1, -1, 1, 1, 1],
+            [-1, -1, 1, -1, -1, 1, 1, 1, -1, 0, 0, 0, -1],
+        ],
+    ),
+    "n^2 |a|^2": (
+        lambda n, a: n * n * a**2,
+        16,
+        [
+            [-16, -1, -16, 10, -13, 10, 16, 16, 16],
+            [-6, 16, 2, -7, 5, -5, -13, -4, -13],
+            [-14, 1, 11, -8, 7, -2, -14, -10, -14],
+            [14, 3, 9, -6, 7, -5, -10, -9, -10],
+            [16, -1, 16, -14, -12, -9, 8, 14, 7],
+            [16, -8, -15, 10, -14, 13, 16, 16, 16],
+            [16, -3, -14, 15, 12, 10, -6, -15, -5],
+        ],
+    ),
+    "3 n^2 |a|": (
+        lambda n, a: 3 * n * n * a,
+        12,
+        [
+            [-8, 1, 2, 6, 6, -1, -8, -8, 1],
+            [5, 2, -6, 6, -6, 7, 1, -1, -6],
+            [4, 2, -7, 6, -6, 7, -6, 7, -7],
+            [2, -4, -1, 0, -1, 0, -7, 7, -1],
+            [-1, -2, 8, -6, 5, -7, 6, -8, 8],
+            [1, 0, 7, -5, 4, -6, 6, -8, 7],
+            [-8, -3, -3, -5, -8, 2, 7, 8, -2],
+        ],
+    ),
+    "n^2 + |a|^3": (
+        lambda n, a: n * n + a**3,
+        11,
+        [
+            [4, -7, 7, -8, -8, 8, -6, 6, 7],
+            [-1, 1, 6, 7, 6, 8, 5, -8, 0],
+            [7, -8, -5, -8, -7, -8, -6, 8, 0],
+            [8, 0, 8, -8, -8, 7, -6, 5, 8],
+            [-4, 0, 7, -7, -7, 8, -6, 6, 7],
+            [0, 1, -6, 6, 6, -5, 4, -4, -6],
+            [1, 0, -5, 6, 6, -6, 4, -4, -6],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("bound", NARROWER_WIDTH_WITNESSES)
+def test_cube_is_identity_sees_a_cube_that_packs_to_one_at_a_narrower_width(bound):
+    # a = [[1, 0], [V, Q]] with Q^3 = 1 cubes to [[1, 0], [(Q^2 + Q + 1) V, 1]].
+    # Q^2 + Q + 1 is a multiple of u w^T, u and w fixed by Q and Q^T, and w is
+    # long (|w|_1 |a| >= 2^k), so V's columns can give w.v0 = -2^k w.v1 = -2^k:
+    # each row of a^3 - 1 is a multiple of (2^k, -1), and packs to 0 at width k
+    narrow, k, rows = NARROWER_WIDTH_WITNESSES[bound]
+    n = len(rows) + 2
+    a = linalg.Matrix([[1] + [0] * (n - 1), [0, 1] + [0] * (n - 2), *rows])
+    assert (narrow(n, max(abs(x) for row in rows for x in row)) + 1).bit_length() + 1 == k
+    q = linalg.Matrix([row[2:] for row in rows])
+    assert q @ (q @ q) == linalg.identity(n - 2)
+    cube = a @ (a @ a)
+    w = [row[:2] for row in cube[2:]]
+    assert cube[:2] == a[:2] and tuple(row[2:] for row in cube[2:]) == q @ (q @ q)
+    assert any(x for x, _ in w) and all(x == -(2**k) * y for x, y in w)
+    assert not linalg.cube_is_identity(a) and not product_cube_is_identity(a)
 
 
 def test_cube_is_identity_needs_a_square_matrix():
@@ -397,7 +519,12 @@ def test_rank_mod3_matches_sympy_over_gf3():
             if n > 1 and rng.random() < 0.3:
                 a[-1] = [x - 3 * y for x, y in zip(a[0], a[-1])]
         want = DomainMatrix([[sympy.GF(3)(x) for x in row] for row in a], (n, m), sympy.GF(3)).rank()
-        assert linalg.rank_mod3(a) == linalg.rank_mod3(linalg.Matrix(a, m)) == want
+        assert linalg.rank_mod3(a) == linalg.rank_mod3(linalg.Matrix(a, m)) == dict_rank_mod3(a) == want
+    # a - 1 of the seeded rank-22 inputs, one in ten with an entry moved
+    for action in [*_seeded_actions(8, 10), *_seeded_actions(64, 10)]:
+        a = action - linalg.identity(22)
+        want = DomainMatrix([[sympy.GF(3)(x) for x in row] for row in a], (22, 22), sympy.GF(3)).rank()
+        assert linalg.rank_mod3(a) == dict_rank_mod3(a) == want
     for n, m in ((0, 0), (0, 4), (4, 0)):
         assert linalg.rank_mod3(linalg.Matrix([[]] * n if m == 0 else [[0] * m] * n, m)) == 0
 

@@ -10,10 +10,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from k3z3 import GLattice, classify, cli, fixed_sublattice, linalg  # noqa: E402
+from k3z3 import FixedPointData, GLattice, check_gsf, classify, cli, fixed_sublattice, linalg  # noqa: E402
+from k3z3 import dirac_coefficients, g_signature_of_data  # noqa: E402
 from k3z3 import g_signature_of_lattice, module_decomposition, verify_lattice  # noqa: E402
 
-from _oracles import quotient_decomposition, random_unimodular_pair, saturated_fixed_sublattice  # noqa: E402
+from _oracles import dict_rank_mod3, quotient_decomposition  # noqa: E402
+from _oracles import random_unimodular_pair, saturated_fixed_sublattice  # noqa: E402
 
 # the generator on Z, on Z[zeta] in the basis (1, zeta), and on Z[G]
 BLOCKS = ([[1]], [[0, -1], [1, -1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
@@ -87,12 +89,47 @@ def test_inertia_of_degenerate_forms_matches_sympy(form):
     assert det == sympy.Matrix(form).det()
 
 
+@st.composite
+def matrices_mod3(draw):
+    """An n x m integer matrix, 0 <= n, m <= 22, with entries of up to 1, 2 or 70 bits.
+
+    Its residues mod 3 are combinations of r random sparse rows, so the rank
+    mod 3 is at most r; each residue is lifted to an entry of the chosen size.
+    """
+    size = st.one_of(st.integers(0, 22), st.integers(16, 22))
+    n, m, bits = draw(size), draw(size), draw(st.sampled_from((1, 2, 70)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    r = rng.randint(0, n)
+    basis = [[rng.choice((0, 0, 1, 2)) for _ in range(m)] for _ in range(r)]
+    rows = basis + [[0] * m for _ in range(n - r)]
+    for row in rows[r:]:
+        for c, b in zip((rng.randrange(3) for _ in basis), basis):
+            row[:] = [(x + c * y) % 3 for x, y in zip(row, b)]
+    rng.shuffle(rows)
+    bound = 2**bits
+    return [[x + 3 * rng.randint(-((bound + x) // 3), (bound - x) // 3) for x in row] for row in rows], m
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_mod3())
+def test_rank_mod3_matches_sympy_and_the_dict_rows(case):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    a, m = case
+    gf3 = sympy.GF(3)
+    want = DomainMatrix([[gf3(x) for x in row] for row in a], (len(a), m), gf3).rank()
+    assert linalg.rank_mod3(a) == linalg.rank_mod3(linalg.Matrix(a, m)) == dict_rank_mod3(a) == want
+
+
 # the messages with which the library refuses a lattice it cannot read
 REFUSALS = {
     "action has order != 3 or internal bug",
     "inertia needs a symmetric matrix",
     "inconsistent eigenstructure: degenerate form",
     "inconsistent eigenstructure: odd plane defect",
+    "expected FixedPointData, got tuple",
+    "expected FixedPointData, got NoneType",
 }
 
 
@@ -116,6 +153,10 @@ def small_lattices(draw):
 def test_library_refuses_a_lattice_only_with_a_known_value_error(L):
     calls = [partial(cli._verification_record, t) for t in classify.enumerate_action_types()]
     calls += [verify_lattice, g_signature_of_lattice, module_decomposition, fixed_sublattice]
+    # fixed-point counts are read only as a FixedPointData
+    calls += [partial(check_gsf, d=d) for d in (FixedPointData(3, 6), (3, 6), None)]
+    for d in ((3, 6), None):
+        calls += [lambda _, f=f, d=d: f(d) for f in (dirac_coefficients, g_signature_of_data)]
     for call in calls:
         try:
             call(L)
