@@ -10,6 +10,7 @@ splitting condition (REP), the g-signature formula (GSF) and the
 Lefschetz fixed-point count.
 """
 
+from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -189,11 +190,11 @@ class LatticeReport(
 
 
 # The audit is the one per-lattice store of results: the checks and the CLI
-# record read it however often they ask.  It and g - 1, which the fixed
-# sublattice and the rank mod 3 both read, keep a few lattices each.
-# GLattice compares by identity, so an entry is keyed on one object, which
-# the cache keeps alive while the entry lasts; what is handed out is
-# immutable.
+# record read it however often they ask.  Its order-3 check, isometry products
+# and rank mod 3, and the fixed sublattice's rational kernel, read the sparse
+# columns of the action and of g - 1 from one scan, kept for a few lattices too.
+# GLattice compares by identity, so an entry is keyed on one object, which the
+# cache keeps alive while the entry lasts; what is handed out is immutable.
 @lru_cache(maxsize=8)
 def verify_lattice(L: GLattice) -> LatticeReport:
     """Audit the defining properties and compute the invariants of the action.
@@ -205,8 +206,9 @@ def verify_lattice(L: GLattice) -> LatticeReport:
     (0, 1, 2) to r, the rank of g - 1 over F_3.  So there are
     b + c = (n - tr(g))/3 rotation planes, c = r - (b + c) and a = tr(g) + b.
     """
-    g, a = L.gram, L.action
-    at, gt = a.T, g.T
+    g, n = L.gram, L.rank
+    cols, shifted = _action_columns(L)
+    gt = tuple(zip(*g))
     symmetric = g == gt
     if symmetric:
         # one unguarded symmetric elimination gives the inertia and the determinant
@@ -214,37 +216,48 @@ def verify_lattice(L: GLattice) -> LatticeReport:
         fixed_sig = signature(fixed_sublattice(L)[1])
     else:
         sig, det, fixed_sig = None, linalg.bareiss_determinant(g), None
-    order3 = linalg.cube_is_identity(a)
+    order3 = linalg._cube_is_identity(cols)
     dec = None
     if order3:
         trace = L.trace
-        planes = (L.rank - trace) // 3
-        c = linalg.rank_mod3(_action_minus_identity(L)) - planes
+        planes = (n - trace) // 3
+        c = linalg._rank_mod3(shifted) - planes  # the rank of (g - 1)^T
         b = planes - c
         if min(trace + b, b, c) >= 0:
             dec = ModuleDecomposition(trace + b, b, c)
+    # the sparse columns of a, the rows of aT, lead each product: aT g a = aT (aT gT)T
+    ga = [*zip(*linalg._row_products(cols, gt, n))]
     return LatticeReport(
         label=L.label,
-        rank=L.rank,
+        rank=n,
         det=det,
         signature=sig,
         fixed_signature=fixed_sig,
         symmetric=symmetric,
         unimodular=abs(det) == 1,
         even=all(row[i] % 2 == 0 for i, row in enumerate(g)),
-        # the sparse action leads each product: aT g a = aT (aT gT)T
-        isometry=at @ (at @ gt).T == g,
+        isometry=g == tuple(linalg._row_products(cols, ga, n)),
         order3=order3,
         decomposition=dec,
     )
 
 
 @lru_cache(maxsize=8)
-def _action_minus_identity(L: GLattice) -> Matrix:
-    rows = [list(row) for row in L.action]
-    for i, row in enumerate(rows):
-        row[i] -= 1
-    return linalg._matrix(rows, L.rank)
+def _action_columns(L: GLattice) -> tuple[tuple, tuple]:
+    """The nonzero (row, entry) pairs of the action and of action - 1, column by column."""
+    a = L.action
+    cols, shifted = linalg._columns(a), []
+    for j, col in enumerate(cols):
+        x, k = a[j][j], bisect_left(col, (j,))  # where row j's entry is, or would go
+        col = col[:]
+        if x == 0:
+            col.insert(k, (j, -1))
+        elif x == 1:
+            del col[k]
+        else:
+            col[k] = (j, x - 1)
+        shifted.append(tuple(col))
+    return tuple(map(tuple, cols)), tuple(shifted)
 
 
 def fixed_sublattice(L: GLattice) -> tuple[Matrix, Matrix]:
@@ -256,9 +269,12 @@ def fixed_sublattice(L: GLattice) -> tuple[Matrix, Matrix]:
     form on the invariant lattice.  The sublattice need not be saturated,
     so its determinant may differ from the invariant lattice's.
     """
-    basis = linalg.rational_kernel(_action_minus_identity(L))
-    bt = basis.T  # the sparse basis leads each product: bT g b = (bT (bT g)T)T
-    return basis, (bt @ (bt @ L.gram).T).T
+    n = L.rank
+    rows = linalg._rational_kernel(_action_columns(L)[1], n)  # the rows of bT
+    basis, r = linalg._matrix(rows, n).T, len(rows)
+    bt = linalg._columns(basis)  # the sparse bT leads each product: bT g b = (bT (bT g)T)T
+    form = linalg._row_products(bt, [*zip(*linalg._row_products(bt, L.gram, n))], r)
+    return basis, linalg._matrix(form, r).T
 
 
 def signature(mat) -> tuple[int, int, int]:

@@ -1,31 +1,25 @@
-"""Exact dense linear algebra over the integers.
+"""Exact linear algebra over the integers.
 
 Every matrix handled here is small (rank <= 22), so the code favours
-exactness and auditability over asymptotics: determinants use
-fraction-free (Bareiss) elimination, rational kernels gcd-scaled
-elimination, saturated integer kernels the Smith normal form, ranks
-mod 3 elimination over F_3, and the inertia of a symmetric form, with
-its determinant, two-step fraction-free symmetric elimination.  The
-Smith form runs on one augmented matrix that carries U and V along.
-No package code runs it; it stays here as the reference kernel that
-the tests and the benchmark's traced pass call by name.
+exactness and auditability over asymptotics: determinants by fraction-free
+(Bareiss) elimination, rational kernels by gcd-scaled elimination, saturated
+integer kernels by the Smith normal form (which no package code runs: the
+tests and the benchmark's traced pass call it by name), ranks mod 3 by
+elimination over F_3 on bit-sliced rows, and the inertia of a symmetric form,
+with its determinant, by two-step fraction-free symmetric elimination.
 
-A `Matrix` is checked once, when built from nested sequences, so the
-results of its arithmetic and of the kernels need no second check.
-Each kernel reads its argument as a `Matrix`, or copies it once to
-fresh rows (`int_rows`, which checks only what is not a `Matrix`) that
-it reduces in place; the symmetric elimination keeps one triangle of
-the block left at each step, the rank mod 3 each row as two bit masks
-(bit-sliced), the rational kernel each kept row's nonzero entries.
-Matrices that are kept or handed back (the GLattice forms, the Smith
-form and the kernels) are `Matrix` values: immutable, exact, and with
-only the arithmetic the callers use.
-A product costs one row operation per nonzero entry of its left factor,
-so callers write the sparse factor (a basis-changed action) first; the
-order-3 check multiplies rows packed into one integer each, in base 2^k
-wide enough (2^(k - 1) > n^2 |a|^3 + 1) that no entry of a^3 - 1 carries.
-Being immutable, `identity(n)` is built once per n and shared by every
-caller.  No floating point and no `fractions` enter.
+A `Matrix` is checked once, when built from nested sequences, so the results
+of its arithmetic and of the kernels need no second check.  The order-3
+check, the rank mod 3, the rational kernel and the product `@` each run one
+core that reads a matrix as its sparse columns, each column's nonzero
+entries as (row, entry) pairs (`_columns`): a public kernel builds them from
+its own `Matrix` argument, and the lattice audit builds them once per lattice
+for every core.  So a product costs one row operation per nonzero entry of
+its left factor, and callers write the sparse factor first.  The symmetric
+elimination reduces fresh rows (`int_rows`, which checks only what is not a
+`Matrix`) in place, on one triangle.  What is kept or handed back is an
+immutable `Matrix`, so `identity(n)` is built once per n and shared.  No
+floating point and no `fractions` enter.
 """
 
 from functools import lru_cache
@@ -85,7 +79,7 @@ class Matrix(tuple):
         (_, k), (k2, m) = self.shape, other.shape
         if k != k2:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        return _matrix(_row_products(self, other, m), m)
+        return _matrix(_row_products(_columns(self.T), other, m), m)
 
 
 def _matrix(rows, ncols: int) -> Matrix:
@@ -95,19 +89,28 @@ def _matrix(rows, ncols: int) -> Matrix:
     return self
 
 
-def _row_products(a, b, m: int) -> list[tuple[int, ...]]:
-    """Rows of a @ b, each a combination of the rows of b (m columns).
+def _columns(a: Matrix) -> list[list[tuple[int, int]]]:
+    """The nonzero entries of `a` column by column, as (row, entry) pairs: what the cores read."""
+    span = range(a.shape[1])
+    cols = [[] for _ in span]
+    for i, row in enumerate(a):
+        for j in compress(span, row):
+            cols[j].append((i, row[j]))
+    return cols
+
+
+def _row_products(rows, b, m: int) -> list[tuple[int, ...]]:
+    """Rows of a @ b from the sparse rows of a, each a combination of the rows of b (m columns).
 
     One row operation per nonzero entry of `a`, never reordered; a row
     whose first nonzero entry is 1 starts from that row of `b` as it is.
     """
     out = []
     zero = (0,) * m
-    k = len(b)
-    for row in a:
+    for row in rows:
         acc = zero
-        for j in compress(range(k), row):
-            x, brow = row[j], b[j]
+        for j, x in row:
+            brow = b[j]
             if x == 1:
                 acc = brow if acc is zero else tuple(map(add, acc, brow))
             elif x == -1:  # without this case an 8-step verify record ran 2% slower
@@ -172,27 +175,34 @@ def block_diag(a, b) -> Matrix:
 
 
 def cube_is_identity(a) -> bool:
-    """Whether a @ a @ a is the identity, by products of packed rows.
-
-    Row i of `a` packs to sum_j a_ij 2^(k j); two passes over the flat list
-    of nonzero entries (i, j, a_ij) give the packed rows of a^2 and a^3.  As
-    n^2 |a|^3 + 1 < 2^(k - 1) bounds every entry of a^3 - 1 and balanced base-2^k
-    digits are unique, row i of a^3 is the unit row exactly when it packs to 2^(k i).
-    """
+    """Whether a @ a @ a is the identity, by products of packed rows."""
     a = Matrix(a)
-    n, m = a.shape
-    if n != m:
+    if a.shape[0] != a.shape[1]:
         raise ValueError(f"shape mismatch: {a.shape} @ {a.shape}")
-    entries = [(i, j, row[j]) for i, row in enumerate(a) for j in compress(range(n), row)]
-    big = max([abs(x) for _, _, x in entries], default=0)
+    return _cube_is_identity(_columns(a))
+
+
+def _cube_is_identity(cols) -> bool:
+    """The order-3 check on the sparse columns of a square matrix a.
+
+    Row i of `a` packs to sum_j a_ij 2^(k j); two passes over the columns,
+    each adding a_ij times the packed row j to row i, give the packed rows of
+    a^2 and a^3.  As n^2 |a|^3 + 1 < 2^(k - 1) bounds every entry of a^3 - 1 and
+    balanced base-2^k digits are unique, row i of a^3 is the unit row exactly
+    when it packs to 2^(k i).
+    """
+    n = len(cols)
+    big = max([abs(x) for col in cols for _, x in col], default=0)
     k = (n * n * big**3 + 1).bit_length() + 1
     packed = [0] * n
-    for i, j, x in entries:
-        packed[i] += x << k * j
+    for j, col in enumerate(cols):
+        for i, x in col:
+            packed[i] += x << k * j
     for _ in range(2):
         prev, packed = packed, [0] * n
-        for i, j, x in entries:
-            packed[i] += x * prev[j]
+        for col, p in zip(cols, prev):
+            for i, x in col:
+                packed[i] += x * p
     return all(p == 1 << k * i for i, p in enumerate(packed))
 
 
@@ -292,24 +302,31 @@ def integer_kernel(a) -> Matrix:
 
 
 def rational_kernel(a) -> Matrix:
-    """Primitive integer columns spanning the kernel of `a` over Q.
-
-    Each column of `a`, with its unit vector appended, is reduced against
-    the rows kept so far by gcd-scaled elimination; a row whose first
-    part vanishes holds an integer relation among the columns, that is,
-    a kernel vector.  The relations are triangular in the unit vectors,
-    hence independent.  They span a full-rank sublattice of the integer
-    kernel, which need not be saturated.  A kept row is a dict of its
-    nonzero entries, and a reduction subtracts only at those.  A factor -1
-    (a pivot -1, usual on a - 1) flips a sign applied with the content division.
-    """
+    """Primitive integer columns spanning the kernel of `a` over Q."""
     a = Matrix(a)
-    n, m = a.shape
+    return _matrix(_rational_kernel(_columns(a), a.shape[0]), a.shape[1]).T
+
+
+def _rational_kernel(cols, n: int) -> list[list[int]]:
+    """The kernel vectors of a matrix with n rows, from its sparse columns.
+
+    Each column, with its unit vector appended, is reduced against the rows
+    kept so far by gcd-scaled elimination; a row whose first part vanishes
+    holds an integer relation among the columns, that is, a kernel vector.
+    The relations are triangular in the unit vectors, hence independent.
+    They span a full-rank sublattice of the integer kernel, which need not
+    be saturated.  A kept row is a dict of its nonzero entries, and a
+    reduction subtracts only at those.  A factor -1 (a pivot -1, usual on
+    a - 1) flips a sign applied with the content division.
+    """
+    m = len(cols)
     kept = []  # (pivot column, nonzero entries of the reduced row)
     kernel = []
-    unit = identity(m)
-    for k, col in enumerate(a.T):
-        r = [*col, *unit[k]]
+    for k, col in enumerate(cols):
+        r = [0] * (n + m)
+        for i, x in col:
+            r[i] = x
+        r[n + k] = 1
         sign = 1  # the reduced row is sign * r
         for piv, krow in kept:
             x = r[piv]
@@ -330,21 +347,26 @@ def rational_kernel(a) -> Matrix:
             kernel.append(r[n:])
         else:
             kept.append((piv, {j: r[j] for j in compress(range(n + m), r)}))
-    return _matrix(zip(*kernel) if kernel else repeat((), m), len(kernel))
+    return kernel
 
 
 def rank_mod3(a) -> int:
-    """Rank over F_3 of an integer matrix, by Gaussian elimination on bit-sliced rows.
+    """Rank over F_3 of an integer matrix, by Gaussian elimination on bit-sliced rows."""
+    return _rank_mod3(_columns(Matrix(a)))  # the rank of its transpose
+
+
+def _rank_mod3(rows) -> int:
+    """The rank mod 3 of the matrix with these sparse rows (or columns).
 
     Each row is two masks of its entries 1 and 2 mod 3 (Boothby-Bradshaw,
     arXiv:0901.1413).  The kept row pivoting on its lowest set bit is added to
     it, or subtracted (the masks swapped), until it vanishes or takes that pivot.
     """
     pivots = {}  # lowest set bit -> kept row's masks
-    for row in Matrix(a):
+    for row in rows:
         masks = [0, 0, 0]
-        for j in compress(range(len(row)), row):
-            masks[row[j] % 3] |= 1 << j
+        for j, x in row:
+            masks[x % 3] |= 1 << j
         _, ones, twos = masks
         while nz := ones | twos:
             low = nz & -nz

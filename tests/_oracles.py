@@ -26,7 +26,8 @@ the generic wedge^2 that the torus model's closed form replaced.
 Basis changes multiply the package's `Matrix` values, whose arithmetic
 test_linalg checks against numpy object arrays.  `seeded_lattice_inputs`
 copies the benchmark's seeded input stream, so that the records pinned in
-test_cli do not move with the benchmark.
+test_cli do not move with the benchmark.  `reference_record` computes a
+whole verify record from sympy alone, with no kernel of the package.
 """
 
 from __future__ import annotations
@@ -485,3 +486,83 @@ def saturated_fixed_sublattice(L) -> tuple[Matrix, Matrix]:
 
     basis = linalg.integer_kernel(L.action - linalg.identity(L.rank))
     return basis, basis.T @ L.gram @ basis
+
+
+def _descartes_inertia(m) -> tuple[int, int, int]:
+    """(pos, neg, null) of a symmetric sympy matrix by Descartes' rule of signs.
+
+    The rule counts the positive roots of the characteristic polynomial
+    exactly when all its roots are real, as a symmetric matrix's are; the
+    negative roots are the positive roots of p(-x), and null is the
+    multiplicity of the root 0.
+    """
+    coeffs = m.charpoly().all_coeffs()[::-1]  # the coefficient of x^k at k
+    null = next(k for k, c in enumerate(coeffs) if c != 0)
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    pos = changes(coeffs)
+    neg = changes([c * (-1) ** k for k, c in enumerate(coeffs)])
+    return pos, neg, null
+
+
+def reference_record(t, gram, action) -> dict:
+    """The verify record of `k3z3.cli` for type `t`, from sympy alone.
+
+    The determinant is sympy's `det`, each inertia comes from Descartes'
+    rule on the characteristic polynomial, the fixed space is the
+    `nullspace` of a - 1 over Q, and the rank of a - 1 over F_3 is a
+    `DomainMatrix` rank; no kernel of the package runs.  The module
+    decomposition, REP, GSF and the Lefschetz count follow from those by
+    their definitions.  Holds every key of the record except the label.
+    """
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    n = len(gram)
+    g, a = (sympy.Matrix(n, n, [x for row in m for x in row]) for m in (gram, action))
+    one = sympy.eye(n)
+    symmetric = g == g.T
+    det = int(g.det()) if n else 1
+    trace = sum(action[i][i] for i in range(n))
+    order3 = a**3 == one
+    sig = fsig = dec = None
+    if symmetric:
+        sig = _descartes_inertia(g)
+        fixed = (a - one).nullspace()
+        basis = sympy.Matrix.hstack(*fixed) if fixed else sympy.zeros(n, 0)
+        fsig = _descartes_inertia(basis.T * g * basis) if fixed else (0, 0, 0)
+    if order3:
+        gf3 = sympy.GF(3)
+        shifted = [[gf3(action[i][j] - (i == j)) for j in range(n)] for i in range(n)]
+        r = DomainMatrix(shifted, (n, n), gf3).rank() if n else 0
+        planes = (n - trace) // 3
+        c = r - planes
+        b = planes - c
+        if min(trace + b, b, c) >= 0:
+            dec = {"a": trace + b, "b": b, "c": c}
+    gsf = False
+    if order3 and symmetric and not sig[2] and not fsig[2]:
+        twice = 3 * (fsig[0] - fsig[1]) - (sig[0] - sig[1])
+        gsf = twice % 2 == 0 and 3 * twice // 2 == t.data.m_plus - t.data.m_minus
+    record = {
+        "type": t.name,
+        "rank": n,
+        "det": det,
+        "even": all(gram[i][i] % 2 == 0 for i in range(n)),
+        "isometry": a.T * g * a == g,
+        "order3": order3,
+        "signature": None if sig is None else list(sig[:2]),
+        "fixed_signature": None if fsig is None else list(fsig[:2]),
+        "decomposition": dec,
+        "rep": dec is not None and dec["b"] == 0 and dec["a"] == t.fixed_count - 2,
+        "gsf": gsf,
+        "lefschetz": n == 22 and 2 + trace == t.fixed_count,
+        "_symmetric": symmetric,
+        "_unimodular": abs(det) == 1,
+    }
+    checks = ("_symmetric", "_unimodular", "even", "isometry", "order3", "rep", "gsf", "lefschetz")
+    record["_passed"] = all(record[k] for k in checks)
+    return record

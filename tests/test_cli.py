@@ -331,11 +331,13 @@ def _count_calls(monkeypatch, module, names) -> dict:
 
 
 def test_verify_record_kernel_budget(monkeypatch):
-    # the kernel budget of one record: two symmetric eliminations (the form,
-    # which also gives the determinant, and the fixed form; counted where
-    # both run, behind the symmetry guard or not), one order-3 check, one
-    # rational kernel and one rank mod 3; each is computed once per lattice,
-    # however often the checks ask for it
+    # the kernel budget of one record, counted at the cores that read sparse
+    # columns: two symmetric eliminations (the form, which also gives the
+    # determinant, and the fixed form; counted where both run, behind the
+    # symmetry guard or not), one order-3 check, one rational kernel and one
+    # rank mod 3; each is computed once per lattice, however often the checks
+    # ask for it, and none through a public kernel that would scan its
+    # argument again
     from k3z3 import classify, linalg
 
     budget = {
@@ -343,9 +345,12 @@ def test_verify_record_kernel_budget(monkeypatch):
         "integer_kernel": 0,
         "bareiss_determinant": 0,
         "_inertia_and_determinant": 2,
-        "cube_is_identity": 1,
-        "rational_kernel": 1,
-        "rank_mod3": 1,
+        "_cube_is_identity": 1,
+        "_rational_kernel": 1,
+        "_rank_mod3": 1,
+        "cube_is_identity": 0,
+        "rational_kernel": 0,
+        "rank_mod3": 0,
     }
     calls = _count_calls(monkeypatch, linalg, budget)
     for t in classify.enumerate_action_types():
@@ -357,16 +362,17 @@ def test_verify_record_kernel_budget(monkeypatch):
 
 def test_verify_record_products_lead_with_the_sparse_factor(bench_common, monkeypatch):
     # a product costs one row operation per nonzero entry of its left factor,
-    # so each of a record's four products leads with the transposed action
-    # or the transposed kernel basis; g - 1 is built once per lattice
+    # so each of a record's four products leads with the action's sparse
+    # columns (the rows of its transpose) or the sparse kernel rows; the
+    # action is scanned once per lattice
     from k3z3 import classify, linalg
 
     lefts = []
-    matmul = linalg.Matrix.__matmul__
+    products = linalg._row_products
 
-    def spy_matmul(self, other):
-        lefts.append(self)
-        return matmul(self, other)
+    def spy(rows, b, m):
+        lefts.append(rows)
+        return products(rows, b, m)
 
     inputs = [(t, lattice.assemble_type_lattice(t)) for t in classify.enumerate_action_types()]
     t, L = inputs[-1]
@@ -375,14 +381,17 @@ def test_verify_record_products_lead_with_the_sparse_factor(bench_common, monkey
     inputs.append((t, GLattice(gram, action, label="basis change")))
     for t, L in inputs:
         lefts.clear()
-        misses = lattice._action_minus_identity.cache_info().misses
+        misses = lattice._action_columns.cache_info().misses
         with monkeypatch.context() as mp:
-            mp.setattr(linalg.Matrix, "__matmul__", spy_matmul)
+            mp.setattr(linalg, "_row_products", spy)
             assert cli._verification_record(t, L)["_passed"]
         assert len(lefts) == 4, L.label
-        assert lattice._action_minus_identity.cache_info().misses == misses + 1, L.label
+        assert lattice._action_columns.cache_info().misses == misses + 1, L.label
         basis = linalg.rational_kernel(L.action - linalg.identity(L.rank))
-        assert all(left in (L.action.T, basis.T) for left in lefts), L.label
+        sparse = [linalg._columns(L.action), linalg._columns(basis)]
+        # the fixed form's two products, then the isometry check's two
+        got = [[*map(list, left)] for left in lefts]
+        assert got == [sparse[1], sparse[1], sparse[0], sparse[0]], L.label
 
 
 def test_verify_record_reaches_every_traced_name(bench_common, monkeypatch):

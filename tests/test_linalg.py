@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -879,6 +880,15 @@ def test_matrix_shape_mismatches_raise():
                 a + b
             with pytest.raises(ValueError, match="shape mismatch"):
                 a - b
+
+
+def test_matrix_arithmetic_takes_only_a_matrix():
+    # `@`, `+` and `-` hand back NotImplemented for nested lists, so python
+    # raises TypeError rather than the operator reading a list as a matrix
+    a = linalg.identity(2)
+    for op in (operator.matmul, operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            op(a, [[1, 0], [0, 1]])
 
 
 def test_matrix_is_immutable():

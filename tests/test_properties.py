@@ -2,20 +2,23 @@
 
 import random
 from functools import partial
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from k3z3 import FixedPointData, GLattice, check_gsf, classify, cli, fixed_sublattice, linalg  # noqa: E402
 from k3z3 import dirac_coefficients, g_signature_of_data  # noqa: E402
+from k3z3 import action_type, assemble_type_lattice  # noqa: E402
 from k3z3 import g_signature_of_lattice, module_decomposition, verify_lattice  # noqa: E402
 
 from _oracles import dict_rank_mod3, quotient_decomposition  # noqa: E402
 from _oracles import random_unimodular_pair, saturated_fixed_sublattice  # noqa: E402
+from _oracles import reference_record, seeded_lattice_inputs  # noqa: E402
 
 # the generator on Z, on Z[zeta] in the basis (1, zeta), and on Z[G]
 BLOCKS = ([[1]], [[0, -1], [1, -1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
@@ -162,3 +165,96 @@ def test_library_refuses_a_lattice_only_with_a_known_value_error(L):
             call(L)
         except ValueError as exc:
             assert str(exc) in REFUSALS, call
+
+
+@st.composite
+def record_inputs(draw):
+    """(type, gram, action) from three families: a small lattice as above; an
+    order-3 module of rank 1-8 in a random basis, with a random symmetric form
+    that is invariant half of the time; and such a module with one action entry
+    moved by +-1."""
+    t = draw(st.sampled_from(classify.enumerate_action_types()))
+    family = draw(st.sampled_from(("lattice", "module", "perturbed")))
+    if family == "lattice":
+        L = draw(small_lattices())
+        return t, L.gram.tolist(), L.action.tolist()
+    c = draw(st.integers(0, 2))
+    b = draw(st.integers(0, (8 - 3 * c) // 2))
+    a = draw(st.integers(0 if b + c else 1, 8 - 3 * c - 2 * b))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    action = linalg.Matrix([])
+    for block, count in zip(BLOCKS, (a, b, c)):
+        for _ in range(count):
+            action = linalg.block_diag(action, block)
+    n = action.shape[0]
+    u, uinv = random_unimodular_pair(rng, n, steps=2 * n)
+    action = uinv @ action @ u
+    m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    gram = linalg.Matrix([[m[i][j] + m[j][i] for j in range(n)] for i in range(n)])
+    if draw(st.booleans()):  # the sum over the group of a form is invariant
+        square = action @ action
+        gram = gram + action.T @ gram @ action + square.T @ gram @ square
+    action = action.tolist()
+    if family == "perturbed":
+        action[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
+    return t, gram.tolist(), action
+
+
+# an unconjugated Z + Z[G]: a diagonal of 1 then 0s, so that the diagonal of
+# a - 1 is both cancelled and added, with a form that is not invariant and one that is
+ZG = [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(record_inputs())
+@example((action_type("B"), [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]], ZG))
+@example((action_type("A0"), [[2, 0, 0, 0], [0, 2, 1, 1], [0, 1, 2, 1], [0, 1, 1, 2]], ZG))
+def test_records_match_the_sympy_reference(case):
+    # every field of a record, against determinants, Descartes' rule, a
+    # nullspace and a rank over F_3 from sympy
+    t, gram, action = case
+    want = reference_record(t, gram, action)
+    rec = cli._verification_record(t, GLattice(gram, action))
+    assert {k: rec[k] for k in want} == want
+
+
+def test_seeded_rank22_records_match_the_sympy_reference():
+    # the benchmark's stream at 8 steps: three inputs, then one with a perturbed action
+    types = {t.name: t for t in classify.enumerate_action_types()}
+    lattices = {name: assemble_type_lattice(t) for name, t in types.items()}
+    models = {name: (L.gram, L.action) for name, L in lattices.items()}
+    inputs = seeded_lattice_inputs(3, models, 8, 10)
+    bad = next(i for i, (name, _, a) in enumerate(inputs) if a != models[name][1].tolist())
+    for name, gram, action in inputs[:3] + [inputs[bad]]:
+        want = reference_record(types[name], gram, action)
+        rec = cli._verification_record(types[name], GLattice(gram, action))
+        assert {k: rec[k] for k in want} == want
+
+
+PLANTED = '''
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers(0, 9))
+def test_planted_property(x):
+    assert x < 0
+
+
+def test_planted_plain():
+    pass
+'''
+
+
+def test_a_failing_property_is_reported_and_the_session_goes_on(run_python, tmp_path):
+    # a property that fails must come out as one failure with its falsifying
+    # example, under the repo's own ini, and the tests after it must still run
+    ini = str(Path(__file__).resolve().parent.parent / "pyproject.toml")
+    (tmp_path / "test_planted.py").write_text(PLANTED)
+    args = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", ini, "--rootdir", str(tmp_path)]
+    (result,) = run_python([[*args, str(tmp_path / "test_planted.py")]])
+    out = result.stdout + result.stderr
+    assert "INTERNALERROR" not in out, out
+    assert result.returncode == 1, out
+    assert "1 failed, 1 passed" in out and "Falsifying example" in out and "x=0" in out, out

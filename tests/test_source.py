@@ -163,8 +163,12 @@ def test_only_conftest_imports_subprocess():
 
 def test_lattice_keeps_one_audit_cache_per_lattice():
     # the checks read verify_lattice rather than caching results of their own;
-    # g - 1 is cached so that the fixed sublattice and the rank mod 3 share it
+    # the action's sparse columns and those of g - 1 are cached, from one scan,
+    # so that the audit's kernels and the fixed sublattice share them
     from k3z3 import lattice
 
     cached = sorted(name for name, obj in vars(lattice).items() if hasattr(obj, "cache_info"))
-    assert cached == ["_action_minus_identity", "gamma16", "verify_lattice"]
+    assert cached == ["_action_columns", "gamma16", "verify_lattice"]
+    # per-lattice results keep a few lattices, as the caching story says
+    for cache in (lattice.verify_lattice, lattice._action_columns):
+        assert cache.cache_parameters()["maxsize"] == 8
