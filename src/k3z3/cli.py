@@ -94,13 +94,13 @@ def _verification_record(t: "classify.ActionType", L: "lattice.GLattice") -> dic
         "fixed_signature": None if fsig is None else list(fsig[:2]),
         "decomposition": None if dec is None else dec._asdict(),
     }
-    for key, check in (
-        ("rep", lambda: lattice.check_rep(L, t.fixed_count)),
-        ("gsf", lambda: lattice.check_gsf(L, t.data)),
-        ("lefschetz", lambda: lattice.check_lefschetz(L, t.fixed_count)),
+    for key, check, argument in (
+        ("rep", lattice.check_rep, t.fixed_count),
+        ("gsf", lattice.check_gsf, t.data),
+        ("lefschetz", lattice.check_lefschetz, t.fixed_count),
     ):
         try:
-            record[key] = check()
+            record[key] = check(L, argument)
         except ValueError:
             record[key] = False
     record["_label"] = L.label
@@ -161,9 +161,7 @@ def _cmd_dirac(args) -> tuple[int, str]:
     data = FixedPointData(args.mplus, args.mminus)
     k = dirac_coefficients(data)
     if args.format == "json":
-        return 0, _dumps(
-            {"m_plus": data.m_plus, "m_minus": data.m_minus, "k": list(k.as_tuple())}
-        )
+        return 0, _dumps({"m_plus": data.m_plus, "m_minus": data.m_minus, "k": list(k)})
     return 0, f"k = ({k.k0}, {k.k1}, {k.k2})\n"
 
 
@@ -185,7 +183,7 @@ def _cmd_smooth(args) -> tuple[int, str]:
             {
                 "type": t.name,
                 "surface": str(surface),
-                "k": list(v.k.as_tuple()),
+                "k": list(v.k),
                 "trivial_on_Hplus": v.trivial_on_Hplus,
                 "all_small": v.all_small,
                 "sw_fact": v.sw_fact,

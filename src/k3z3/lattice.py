@@ -72,9 +72,6 @@ class ModuleDecomposition(namedtuple("ModuleDecomposition", "a b c")):
 
     __slots__ = ()
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return tuple(self)
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -178,8 +175,7 @@ class LatticeReport(
     `signature` and `fixed_signature` are the inertia (pos, neg, null) of
     the form and of the form restricted to the fixed sublattice, or None
     when the form is not symmetric.  `decomposition` is the
-    ModuleDecomposition, or None when the action fails order 3 or a count
-    comes out negative.
+    ModuleDecomposition, or None exactly when the action fails order 3.
     """
 
     __slots__ = ()
@@ -204,7 +200,8 @@ def verify_lattice(L: GLattice) -> LatticeReport:
     the only indecomposable integral representations of the cyclic group
     of order 3; they add (1, 2, 3) to the rank n, (1, -1, 0) to tr(g) and
     (0, 1, 2) to r, the rank of g - 1 over F_3.  So there are
-    b + c = (n - tr(g))/3 rotation planes, c = r - (b + c) and a = tr(g) + b.
+    b + c = (n - tr(g))/3 rotation planes, c = r - (b + c) and a = tr(g) + b,
+    and for an integral action of order 3 no count comes out negative.
     """
     g, n = L.gram, L.rank
     cols, shifted = _action_columns(L)
@@ -222,9 +219,7 @@ def verify_lattice(L: GLattice) -> LatticeReport:
         trace = L.trace
         planes = (n - trace) // 3
         c = linalg._rank_mod3(shifted) - planes  # the rank of (g - 1)^T
-        b = planes - c
-        if min(trace + b, b, c) >= 0:
-            dec = ModuleDecomposition(trace + b, b, c)
+        dec = ModuleDecomposition(trace + planes - c, planes - c, c)
     # the sparse columns of a, the rows of aT, lead each product: aT g a = aT (aT gT)T
     ga = [*zip(*linalg._row_products(cols, gt, n))]
     return LatticeReport(
@@ -282,18 +277,15 @@ def signature(mat) -> tuple[int, int, int]:
     return linalg.inertia(mat)
 
 
-_ORDER_ERROR = "action has order != 3 or internal bug"
-
-
 def module_decomposition(L: GLattice) -> ModuleDecomposition:
     """The split a*Z + b*Z[zeta] + c*Z[G] of the action module, read from the audit.
 
-    Raises ValueError when the action fails order 3 or a count comes out
-    negative (see verify_lattice for the derivation).
+    Raises ValueError when the action fails order 3, the one case in which
+    the audit holds no decomposition (see verify_lattice for the derivation).
     """
     dec = verify_lattice(L).decomposition
     if dec is None:
-        raise ValueError(_ORDER_ERROR)
+        raise ValueError("action has order != 3")
     return dec
 
 
@@ -337,11 +329,11 @@ def check_gsf(L: GLattice, d: FixedPointData) -> bool:
     Checking g settles g^2 as well: the two fix the same sublattice, so
     they have the same lattice g-signature, and each defect is rational,
     so the defect sum equals its Galois conjugate.  Raises ValueError
-    unless `d` is a FixedPointData and the action has order 3.
+    unless `d` is a FixedPointData and, as module_decomposition checks,
+    the action has order 3.
     """
     difference = _difference(d)
-    if not verify_lattice(L).order3:
-        raise ValueError(_ORDER_ERROR)
+    module_decomposition(L)
     return 3 * g_signature_of_lattice(L) == difference
 
 

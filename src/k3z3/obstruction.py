@@ -104,7 +104,7 @@ def verdict(t: ActionType, s: SurfaceModel) -> ObstructionVerdict:
         f"H+ action: b+^G = {t.bplus_G}, b+ = {b_plus} -> "
         f"{'trivial' if trivial else 'nontrivial'}",
         f"SW fact: SW(c0) = +/-1 {'available' if sw else 'unavailable'} for {s}",
-        f"index bound: k = {k.as_tuple()}, 2*k_j <= {b_plus - 1} "
+        f"index bound: k = {tuple(k)}, 2*k_j <= {b_plus - 1} "
         f"{'holds for all j' if small else 'fails for some j'}",
     )
     if not trivial or not sw:

@@ -158,15 +158,18 @@ def congruence(gram, action, rng, steps: int) -> None:
         action[i] = [x - c * y for x, y in zip(action[i], action[j])]
 
 
-def seeded_lattice_inputs(seed: int, models: dict, steps: int, count: int) -> list:
+def seeded_lattice_inputs(seed: int, steps: int, count: int) -> list:
     """The first `count` (type, gram, action) of the benchmark's seeded stream.
 
     A copy of the verify_shallow generator, so that a change to the
-    benchmark cannot move the inputs a test pins.  `models` maps each type
-    name to its (gram, action) rows.  Every block of four inputs holds the
-    four types in seeded order, and every block of ten has one input whose
-    action has one entry moved by +-1.
+    benchmark cannot move the inputs a test pins.  It starts from the
+    assembled rank-22 model of each type.  Every block of four inputs holds
+    the four types in seeded order, and every block of ten has one input
+    whose action has one entry moved by +-1.
     """
+    from k3z3 import classify, lattice
+
+    models = {t.name: lattice.assemble_type_lattice(t) for t in classify.enumerate_action_types()}
     rng = random.Random(f"verify_shallow:{seed}")
     inputs, order, bad = [], [], -1
     for index in range(count):
@@ -176,7 +179,7 @@ def seeded_lattice_inputs(seed: int, models: dict, steps: int, count: int) -> li
         if index % 10 == 0:
             bad = index + rng.randrange(10)
         name = order.pop()
-        gram, action = ([list(r) for r in rows] for rows in models[name])
+        gram, action = models[name].gram.tolist(), models[name].action.tolist()
         congruence(gram, action, rng, steps)
         if index == bad:
             i, j = rng.randrange(len(gram)), rng.randrange(len(gram))
@@ -541,8 +544,9 @@ def reference_record(t, gram, action) -> dict:
         planes = (n - trace) // 3
         c = r - planes
         b = planes - c
-        if min(trace + b, b, c) >= 0:
-            dec = {"a": trace + b, "b": b, "c": c}
+        # by Reiner, Z, Z[zeta] and Z[G] are the only indecomposable modules
+        assert min(trace + b, b, c) >= 0, (trace, b, c)
+        dec = {"a": trace + b, "b": b, "c": c}
     gsf = False
     if order3 and symmetric and not sig[2] and not fsig[2]:
         twice = 3 * (fsig[0] - fsig[1]) - (sig[0] - sig[1])

@@ -459,16 +459,19 @@ def test_seeded_records_are_pinned():
     from _oracles import seeded_lattice_inputs
 
     types = {t.name: t for t in classify.enumerate_action_types()}
-    models = {}
-    for name, t in types.items():
-        L = lattice.assemble_type_lattice(t)
-        models[name] = (L.gram.tolist(), L.action.tolist())
     for (steps, count), digest in RECORD_DIGESTS.items():
         h = hashlib.sha256()
-        for name, gram, action in seeded_lattice_inputs(1, models, steps, count):
-            rec = cli._verification_record(types[name], GLattice(gram, action))
+        for name, gram, action in seeded_lattice_inputs(1, steps, count):
+            L = GLattice(gram, action)
+            rec = cli._verification_record(types[name], L)
             line = json.dumps([rec[k] for k in RECORD_KEYS], separators=(",", ":"))
             h.update(f"{line}\n".encode())
+            # a decomposition is missing exactly when the order is not 3; for
+            # order 3, Z and Z[G] each fix one line and Z[zeta] none
+            assert (rec["decomposition"] is None) == (not rec["order3"])
+            if rec["order3"]:
+                dec = rec["decomposition"]
+                assert dec["a"] + dec["c"] == lattice.fixed_sublattice(L)[0].shape[1]
         assert h.hexdigest() == digest, steps
 
 
@@ -595,6 +598,20 @@ def test_verify_exit_code_on_tampered_lattice(monkeypatch):
     assert code == 1
     rec = json.loads(out)
     assert rec["even"] is False
+
+
+def test_verify_record_shows_a_planted_rank_fault(monkeypatch):
+    # an order-3 action always has a decomposition, so a kernel that miscounts
+    # shows its negative count in the record rather than hiding it as null
+    from k3z3 import linalg
+
+    rank_mod3 = linalg._rank_mod3
+    monkeypatch.setattr(linalg, "_rank_mod3", lambda rows: rank_mod3(rows) + 1)
+    code, out = cli.run(["verify", "--type", "A1", "--format", "json"])
+    assert code == 1
+    rec = json.loads(out)
+    assert rec["order3"] is True and rec["rep"] is False
+    assert rec["decomposition"] == {"a": 6, "b": -1, "c": 6}
 
 
 def test_dirac_examples():

@@ -61,7 +61,7 @@ def test_gamma16_verifies_and_decomposes(k):
     report = verify_lattice(L)
     assert report.passed, report
     assert report.det == 1
-    assert module_decomposition(L).as_tuple() == (16 - 3 * k, 0, k)
+    assert tuple(module_decomposition(L)) == (16 - 3 * k, 0, k)
 
 
 @pytest.mark.parametrize("k", range(6))
@@ -111,7 +111,7 @@ def test_gamma16_rejects_bad_cycle_counts(k):
 def test_three_h_perm():
     L = three_h_perm()
     assert verify_lattice(L).passed
-    assert module_decomposition(L).as_tuple() == (0, 0, 2)
+    assert tuple(module_decomposition(L)) == (0, 0, 2)
     basis, restricted = fixed_sublattice(L)
     assert basis.shape[1] == 2
     assert signature(restricted) == (1, 1, 0)
@@ -129,7 +129,7 @@ def test_three_h_torus():
     assert verify_lattice(L).passed
     assert signature(L.gram) == (3, 3, 0)
     assert L.trace == 3
-    assert module_decomposition(L).as_tuple() == (3, 0, 1)
+    assert tuple(module_decomposition(L)) == (3, 0, 1)
     assert signature(fixed_sublattice(L)[1])[:2] == (3, 1)
 
 
@@ -162,9 +162,9 @@ def test_direct_sum():
     assert k3_model.rank == 22
     assert signature(k3_model.gram) == (3, 19, 0)
     # module decompositions add componentwise
-    a1, b1, c1 = module_decomposition(three_h_perm()).as_tuple()
-    a2, b2, c2 = module_decomposition(gamma16(5)).as_tuple()
-    assert module_decomposition(k3_model).as_tuple() == (a1 + a2, b1 + b2, c1 + c2)
+    a1, b1, c1 = tuple(module_decomposition(three_h_perm()))
+    a2, b2, c2 = tuple(module_decomposition(gamma16(5)))
+    assert tuple(module_decomposition(k3_model)) == (a1 + a2, b1 + b2, c1 + c2)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ def test_module_decomposition_hexagonal_plane():
     L = hexagonal_plane()
     assert L.trace == -1
     assert fixed_sublattice(L)[0].shape[1] == 0
-    assert module_decomposition(L).as_tuple() == (0, 1, 0)
+    assert tuple(module_decomposition(L)) == (0, 1, 0)
 
 
 def test_module_decomposition_rejects_wrong_order():
@@ -303,8 +303,8 @@ def test_module_decomposition_runs_no_smith_form(monkeypatch):
     monkeypatch.setattr(linalg, "smith_normal_form", forbidden)
     for t in enumerate_action_types():
         L = assemble_type_lattice(t)  # fresh, so nothing is memoized for it
-        assert module_decomposition(L).as_tuple() == (t.fixed_count - 2, 0, (24 - t.fixed_count) // 3)
-    assert module_decomposition(hexagonal_plane()).as_tuple() == (0, 1, 0)
+        assert tuple(module_decomposition(L)) == (t.fixed_count - 2, 0, (24 - t.fixed_count) // 3)
+    assert tuple(module_decomposition(hexagonal_plane())) == (0, 1, 0)
 
 
 def test_module_decomposition_matches_fixed_rank_on_models():
@@ -385,7 +385,7 @@ def test_assembled_models_satisfy_every_hypothesis():
 
 def test_assembly_recipe_details():
     a2 = assemble_type_lattice(action_type("A2"))
-    assert module_decomposition(a2).as_tuple() == (10, 0, 4)
+    assert tuple(module_decomposition(a2)) == (10, 0, 4)
     b = assemble_type_lattice(action_type("B"))
     assert signature(fixed_sublattice(b)[1])[:2] == (1, 7)
     a0 = assemble_type_lattice(action_type("A0"))
@@ -412,13 +412,13 @@ def test_invariants_survive_basis_changes_on_all_constructions():
     for L in lattices:
         base = (
             signature(L.gram),
-            module_decomposition(L).as_tuple(),
+            tuple(module_decomposition(L)),
             verify_lattice(L).passed,
         )
         for _ in range(8):
             M = transformed(L, rng)
             assert signature(M.gram) == base[0]
-            assert module_decomposition(M).as_tuple() == base[1]
+            assert tuple(module_decomposition(M)) == base[1]
             assert verify_lattice(M).passed == base[2]
 
 
@@ -428,7 +428,7 @@ def test_full_check_suite_survives_basis_changes_on_models():
         L = assemble_type_lattice(t)
         base = (
             signature(L.gram),
-            module_decomposition(L).as_tuple(),
+            tuple(module_decomposition(L)),
             g_signature_of_lattice(L),
             check_rep(L, t.fixed_count),
             check_gsf(L, t.data),
@@ -438,7 +438,7 @@ def test_full_check_suite_survives_basis_changes_on_models():
             M = transformed(L, rng)
             got = (
                 signature(M.gram),
-                module_decomposition(M).as_tuple(),
+                tuple(module_decomposition(M)),
                 g_signature_of_lattice(M),
                 check_rep(M, t.fixed_count),
                 check_gsf(M, t.data),

@@ -313,15 +313,9 @@ def test_rational_kernel_matches_the_dense_route():
 
 def _seeded_actions(steps, count):
     """The actions of the first `count` seeded verify inputs, as Matrix values."""
-    from k3z3 import classify, lattice
-
     from _oracles import seeded_lattice_inputs
 
-    models = {}
-    for t in classify.enumerate_action_types():
-        L = lattice.assemble_type_lattice(t)
-        models[t.name] = (L.gram.tolist(), L.action.tolist())
-    return [linalg.Matrix(action) for _, _, action in seeded_lattice_inputs(1, models, steps, count)]
+    return [linalg.Matrix(action) for _, _, action in seeded_lattice_inputs(1, steps, count)]
 
 
 def _order3_block(rng):
