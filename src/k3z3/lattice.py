@@ -3,7 +3,7 @@
 The rank-22 intersection lattice of K3 splits as three hyperbolic
 planes plus a rank-16 negative definite even lattice.  This module
 writes explicit order-3 isometries on those blocks in closed form (one
-table, `_REALIZATION`, names the blocks of each action type), computes the
+table, `_REALIZATION`, holds the blocks of each action type), computes the
 integral invariants of the resulting actions exactly, and evaluates the
 realization conditions for the classified action types: the module
 splitting condition (REP), the g-signature formula (GSF) and the
@@ -77,12 +77,6 @@ class ModuleDecomposition(namedtuple("ModuleDecomposition", "a b c")):
 # constructors
 
 
-def hyperbolic() -> GLattice:
-    """Rank-2 hyperbolic plane with the identity action."""
-    return GLattice(linalg._matrix([[0, 1], [1, 0]], 2), linalg.identity(2), label="H")
-
-
-@lru_cache(maxsize=None)
 def gamma16(k: int) -> GLattice:
     """The rank-16 negative definite even unimodular lattice, with k 3-cycles.
 
@@ -96,7 +90,8 @@ def gamma16(k: int) -> GLattice:
     and f_16.f_16 = -4.  Each 3-cycle stays inside {1..9} or {10..15},
     so it permutes the f_i exactly as it permutes the e_i: the action
     matrix is the coordinate permutation itself, and integral as long as
-    the cycles avoid coordinate 16, hence k <= 5.
+    the cycles avoid coordinate 16, hence k <= 5.  Each call builds the
+    lattice anew; `_REALIZATION` builds the k = 4 and k = 5 blocks at import.
     """
     k = _integer(k)
     if not 0 <= k <= 5:
@@ -345,14 +340,15 @@ def check_lefschetz(L: GLattice, fixed_count: int) -> bool:
 
 
 _TRIVIAL = GLattice(_THREE_H, linalg.identity(6), label="3H(trivial)")
+_G4, _G5 = gamma16(4), gamma16(5)
 
-# The paper's realization of each type: its 3H block and the number of
-# 3-cycles of the Gamma16 block.
+# The paper's realization of each type: its 3H block and its Gamma16 block,
+# with 5 or 4 three-cycles.  Each block is built once, at import.
 _REALIZATION = {
-    "A0": (three_h_torus(), 5),
-    "A1": (_TRIVIAL, 5),
-    "A2": (_TRIVIAL, 4),
-    "B": (three_h_perm(), 5),
+    "A0": (three_h_torus(), _G5),
+    "A1": (_TRIVIAL, _G5),
+    "A2": (_TRIVIAL, _G4),
+    "B": (three_h_perm(), _G5),
 }
 
 
@@ -360,6 +356,5 @@ def assemble_type_lattice(t: "ActionType") -> GLattice:
     """The rank-22 model realizing a classified action type."""
     if t.name not in _REALIZATION:
         raise ValueError(f"unknown action type {t.name!r}")
-    lhs, k = _REALIZATION[t.name]
-    rhs = gamma16(k)
+    lhs, rhs = _REALIZATION[t.name]
     return direct_sum(lhs, rhs, label=f"{t.name}: {lhs.label} + {rhs.label}")

@@ -28,6 +28,8 @@ test_linalg checks against numpy object arrays.  `seeded_lattice_inputs`
 copies the benchmark's seeded input stream, so that the records pinned in
 test_cli do not move with the benchmark.  `reference_record` computes a
 whole verify record from sympy alone, with no kernel of the package.
+`hyperbolic`, the plane H with the identity action, is a small lattice that
+only the tests build.
 """
 
 from __future__ import annotations
@@ -186,6 +188,13 @@ def seeded_lattice_inputs(seed: int, steps: int, count: int) -> list:
             action[i][j] += rng.choice((-1, 1))
         inputs.append((name, gram, action))
     return inputs
+
+
+def hyperbolic():
+    """Rank-2 hyperbolic plane with the identity action."""
+    from k3z3 import GLattice
+
+    return GLattice([[0, 1], [1, 0]], identity(2), label="H")
 
 
 def transformed(L, rng, steps: int = 8):

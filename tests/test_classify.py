@@ -56,18 +56,11 @@ def test_scaled_invariants_match_the_fraction_formulas():
     assert points == 325
 
 
-@pytest.fixture
-def cold_sweep():
-    classify._enumerate.cache_clear()
-    yield
-    classify._enumerate.cache_clear()
-
-
 def _forbidden(*args, **kwargs):
     raise AssertionError("the sweep left the integer route")
 
 
-def test_sweep_runs_on_integers(cold_sweep, monkeypatch):
+def test_sweep_runs_on_integers(monkeypatch):
     for module, name in [
         (classify, "quotient_invariants"),
         (classify, "FixedPointData"),
@@ -75,7 +68,7 @@ def test_sweep_runs_on_integers(cold_sweep, monkeypatch):
         (fixed_data, "g_signature_of_data"),
     ]:
         monkeypatch.setattr(module, name, _forbidden)
-    rows = classify._enumerate()
+    rows = enumerate_action_types()  # each call runs the sweep: nothing is cached
     assert [tuple(t) for t in rows] == EXPECTED_ROWS
     assert all(type(x) is int for t in rows for x in t[1:])
 
@@ -103,18 +96,9 @@ def test_sweep_needs_only_integrality_and_the_ranges():
     assert (integral, in_range) == (15, 4)
 
 
-def _sweep_anew():
-    """classify._enumerate run again; its cache is left empty for the next caller."""
-    classify._enumerate.cache_clear()
-    try:
-        return classify._enumerate()
-    finally:
-        classify._enumerate.cache_clear()
-
-
 def test_sweep_visits_the_whole_grid(monkeypatch):
     # each (m+, m-) within the Lefschetz bound m+ + m- <= 24, once
-    rows = classify._enumerate()
+    rows = enumerate_action_types()
     visited = []
     scaled = classify._scaled_invariants
 
@@ -123,7 +107,7 @@ def test_sweep_visits_the_whole_grid(monkeypatch):
         return scaled(m_plus, m_minus)
 
     monkeypatch.setattr(classify, "_scaled_invariants", record)
-    assert _sweep_anew() == rows
+    assert enumerate_action_types() == rows
     assert visited == [(p, m) for p in range(25) for m in range(25 - p)]
 
 
@@ -131,7 +115,45 @@ def test_a_drifted_admissible_set_is_an_arithmetic_error(monkeypatch):
     # with b-^G capped at 7 only A0 and B survive, which the four names do not fit
     monkeypatch.setattr(classify, "K3", K3._replace(b_minus=7))
     with pytest.raises(ArithmeticError, match="drifted from the expected four types"):
-        _sweep_anew()
+        enumerate_action_types()
+
+
+def _planted(bplus, bminus):
+    """The (3 chi(X/G), 9 Sign(X/G)) of a point with the given b+^G and b-^G."""
+    return 3 * (bplus + bminus + 2), 9 * (bplus - bminus)
+
+
+@pytest.mark.parametrize(
+    "bplus, bminus, kept",
+    [(0, 7, True), (3, 0, True), (3, 19, True), (-1, 7, False), (4, 0, False), (3, -1, False),
+     (3, 20, False)],
+)
+def test_the_sweep_keeps_exactly_the_points_within_the_betti_ranges(
+    monkeypatch, bplus, bminus, kept
+):
+    # a point planted at (1, 0), whose own invariants are not integral: the
+    # range filter keeps it, a fifth row that the drift check refuses, exactly
+    # when 0 <= b+^G <= 3 and 0 <= b-^G <= 19; (4, 0) has a positive signature
+    scaled = classify._scaled_invariants
+    monkeypatch.setattr(
+        classify,
+        "_scaled_invariants",
+        lambda p, m: _planted(bplus, bminus) if (p, m) == (1, 0) else scaled(p, m),
+    )
+    if kept:
+        with pytest.raises(ArithmeticError, match="drifted from the expected four types"):
+            enumerate_action_types()
+    else:
+        assert [tuple(t) for t in enumerate_action_types()] == EXPECTED_ROWS
+
+
+def test_the_sweep_sorts_by_bplus_before_m_plus(monkeypatch):
+    # the one b+^G = 1 row, planted at a larger m+ than the three b+^G = 3
+    # rows, still comes last, so that the names A0, A1, A2 and B fit
+    planted = dict.fromkeys([(6, 0), (3, 0), (0, 0)], _planted(3, 7)) | {(10, 0): _planted(1, 7)}
+    monkeypatch.setattr(classify, "_scaled_invariants", lambda p, m: planted.get((p, m), (1, 0)))
+    rows = [(t.name, t.m_plus, t.bplus_G) for t in enumerate_action_types()]
+    assert rows == [("A0", 6, 3), ("A1", 3, 3), ("A2", 0, 3), ("B", 10, 1)]
 
 
 def test_admissible_differences():

@@ -360,12 +360,29 @@ def test_verify_record_kernel_budget(monkeypatch):
         assert calls == budget, t.name
 
 
-def test_verify_record_products_lead_with_the_sparse_factor(bench_common, monkeypatch):
+def test_each_call_sweeps_once_and_builds_no_gamma16(monkeypatch):
+    # nothing memoizes the four-type sweep: each call runs it exactly once, over
+    # the 325 points of the grid, and `verify --all` reads all four types from
+    # that one sweep; the Gamma16 blocks are built when lattice is imported
+    from k3z3 import classify
+
+    sweep = _count_calls(monkeypatch, classify, ["_scaled_invariants"])
+    built = _count_calls(monkeypatch, lattice, ["gamma16"])
+    calls = (["classify"], ["verify", "--type", "B"], ["verify", "--all"], ["smooth", "--type", "A1"])
+    for argv in calls:
+        sweep["_scaled_invariants"] = built["gamma16"] = 0
+        assert cli.run(argv)[0] == 0, argv
+        assert (sweep["_scaled_invariants"], built["gamma16"]) == (325, 0), argv
+
+
+def test_verify_record_products_lead_with_the_sparse_factor(monkeypatch):
     # a product costs one row operation per nonzero entry of its left factor,
     # so each of a record's four products leads with the action's sparse
     # columns (the rows of its transpose) or the sparse kernel rows; the
     # action is scanned once per lattice
     from k3z3 import classify, linalg
+
+    from _oracles import congruence
 
     lefts = []
     products = linalg._row_products
@@ -377,7 +394,7 @@ def test_verify_record_products_lead_with_the_sparse_factor(bench_common, monkey
     inputs = [(t, lattice.assemble_type_lattice(t)) for t in classify.enumerate_action_types()]
     t, L = inputs[-1]
     gram, action = L.gram.tolist(), L.action.tolist()
-    bench_common._congruence(gram, action, random.Random(14), 8)
+    congruence(gram, action, random.Random(14), 8)
     inputs.append((t, GLattice(gram, action, label="basis change")))
     for t, L in inputs:
         lefts.clear()

@@ -20,7 +20,6 @@ from k3z3 import (
     g_signature_of_data,
     g_signature_of_lattice,
     gamma16,
-    hyperbolic,
     module_decomposition,
     signature,
     three_h_perm,
@@ -32,6 +31,7 @@ from k3z3.linalg import Matrix, bareiss_determinant, block_diag, identity
 from _oracles import (
     exterior_square,
     gamma16_by_basis_change,
+    hyperbolic,
     saturated_fixed_sublattice,
     transformed,
 )

@@ -10,11 +10,12 @@ from k3z3 import (
     ModuleDecomposition,
     SurfaceModel,
     action_type,
-    hyperbolic,
     verdict,
     verify_lattice,
 )
 from k3z3.cyclotomic import Cyclotomic
+
+from _oracles import hyperbolic
 
 
 # one instance of each record class, with the name of one of its fields

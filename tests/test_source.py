@@ -161,14 +161,33 @@ def test_only_conftest_imports_subprocess():
     assert found == ["conftest.py"]
 
 
-def test_lattice_keeps_one_audit_cache_per_lattice():
-    # the checks read verify_lattice rather than caching results of their own;
-    # the action's sparse columns and those of g - 1 are cached, from one scan,
-    # so that the audit's kernels and the fixed sublattice share them
-    from k3z3 import lattice
+def test_the_package_caches_only_per_lattice_results_and_identity():
+    # one caching story: per-lattice results in lru_cache(maxsize=8) keyed on
+    # the GLattice, and the shared identity(n).  The checks read verify_lattice
+    # rather than caching results of their own; the action's sparse columns and
+    # those of g - 1 are cached, from one scan, so that the audit's kernels and
+    # the fixed sublattice share them.  The four-type sweep and the Gamma16
+    # blocks are built once by their callers, not memoized.
+    import importlib
 
-    cached = sorted(name for name, obj in vars(lattice).items() if hasattr(obj, "cache_info"))
-    assert cached == ["_action_columns", "gamma16", "verify_lattice"]
-    # per-lattice results keep a few lattices, as the caching story says
-    for cache in (lattice.verify_lattice, lattice._action_columns):
-        assert cache.cache_parameters()["maxsize"] == 8
+    caches, walked = {}, []
+    for path in SOURCES:
+        if path.stem == "__main__":  # importing it runs the CLI; it defines nothing
+            tree = ast.parse(path.read_text())
+            assert not any(isinstance(node, ast.FunctionDef | ast.ClassDef) for node in tree.body)
+            continue
+        name = "k3z3" if path.stem == "__init__" else f"k3z3.{path.stem}"
+        module = importlib.import_module(name)
+        walked.append(name)
+        members = [*vars(module).values()]
+        members += [v for c in members if isinstance(c, type) for v in vars(c).values()]
+        for obj in members:
+            obj = getattr(obj, "__func__", getattr(obj, "fget", obj))  # methods, properties
+            if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == name:
+                caches[f"{name}.{obj.__qualname__}"] = obj.cache_parameters()["maxsize"]
+    assert len(walked) == len(SOURCES) - 1
+    assert caches == {
+        "k3z3.lattice._action_columns": 8,
+        "k3z3.lattice.verify_lattice": 8,
+        "k3z3.linalg.identity": None,
+    }
